@@ -8,12 +8,11 @@ freeing the rest of the frame for transmission.  The package splits into:
 ``signals``
     Sparse wideband signal models and DFT helpers.
 ``sensing``
-    Random measurement matrices, training/testing row splits, acquisition.
+    Random measurement matrices and acquisition into training/testing rows.
 ``validation``
     The validation parameter, its error interval, halting rules and sizing.
 ``recovery``
-    Orthogonal pursuit, its validation-halted sparsity-blind variant, and an
-    exhaustive small-case reference solver.
+    Orthogonal pursuit and its validation-halted sparsity-blind variant.
 ``engine``
     The sequential sensing frame loop and band-occupancy decisions.
 ``experiments``
@@ -52,20 +51,15 @@ from .experiments import (
 from .recovery import (
     FourierDictionary,
     RecoveryResult,
-    brute_force_l0,
-    least_squares_on_support,
     omp,
     sasr,
 )
-from .rng import stream_seed, substream
+from .rng import stream_seed
 from .sensing import (
     MeasurementSet,
     RandomMatrixSpec,
-    SplitPolicy,
     acquire,
     draw_matrix,
-    sensing_dictionary,
-    split_rows,
 )
 from .signals import (
     GridSpectrumSpec,
@@ -75,10 +69,8 @@ from .signals import (
     TimeSeries,
     WidebandSignalSpec,
     dft,
-    effective_sparsity,
     idft,
     random_grid_spectrum,
-    random_signal_spec,
     signal_time_series,
     synthesize_grid_signal,
     synthesize_signal,
@@ -90,9 +82,7 @@ from .validation import (
     confidence_floor_noisy,
     confidence_interval,
     empirical_interval_coverage,
-    estimate_jl_constant,
-    halt_noiseless,
-    halt_noisy,
+    halting_rule,
     noiseless_threshold,
     scaled_validation_parameter,
     testing_size_noiseless,
@@ -107,21 +97,17 @@ __all__ = [
     # signals
     "SubbandSpec", "WidebandSignalSpec", "GridTone", "GridSpectrumSpec",
     "TimeSeries", "Spectrum", "synthesize_signal", "synthesize_grid_signal",
-    "signal_time_series", "dft", "idft", "effective_sparsity",
-    "random_signal_spec", "random_grid_spectrum",
+    "signal_time_series", "dft", "idft", "random_grid_spectrum",
     # sensing
-    "RandomMatrixSpec", "MeasurementSet", "SplitPolicy", "draw_matrix",
-    "split_rows", "acquire", "sensing_dictionary",
+    "RandomMatrixSpec", "MeasurementSet", "draw_matrix", "acquire",
     # validation
     "HaltingConfig", "ValidationReport", "validation_parameter",
     "scaled_validation_parameter", "confidence_interval",
-    "testing_size_noiseless", "noiseless_threshold", "halt_noiseless",
-    "halt_noisy", "testing_size_noisy", "confidence_floor_noisy",
+    "testing_size_noiseless", "noiseless_threshold", "halting_rule",
+    "testing_size_noisy", "confidence_floor_noisy",
     "accuracy_from_confidence", "empirical_interval_coverage",
-    "estimate_jl_constant",
     # recovery
-    "RecoveryResult", "FourierDictionary", "least_squares_on_support", "omp",
-    "sasr", "brute_force_l0",
+    "RecoveryResult", "FourierDictionary", "omp", "sasr",
     # engine
     "FrameConfig", "DetectorConfig", "BandDecision", "SensingOutcome",
     "max_steps", "iter_frame_steps", "run_frame", "energy_detect",
@@ -131,7 +117,7 @@ __all__ = [
     "default_config", "load_config", "run_experiment",
     "significant_relative_mse",
     # infrastructure
-    "stream_seed", "substream",
+    "stream_seed",
     "InvalidSpecError", "DimensionError", "ParameterError",
     "CriterionUnsatisfiableWarning",
 ]

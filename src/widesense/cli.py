@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 from .engine import DetectorConfig, FrameConfig, calibrate_lambda, run_frame, uniform_bands
 from .errors import InvalidSpecError, ParameterError
-from .experiments import EXPERIMENT_NAMES, ExperimentConfig, load_config, run_experiment
+from .experiments import (
+    EXPERIMENT_NAMES,
+    ExperimentConfig,
+    load_config,
+    read_json,
+    run_experiment,
+    write_atomic,
+)
 from .signals import GridSpectrumSpec, WidebandSignalSpec
 from .validation import HaltingConfig
 
@@ -57,30 +62,10 @@ def _build_parser() -> _Parser:
 
 
 def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InvalidSpecError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidSpecError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise InvalidSpecError(f"config {path} must hold a JSON object")
     return raw
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _signal_from_dict(raw: dict):
@@ -133,7 +118,7 @@ def _cmd_frame(args) -> int:
     outcome = run_frame(spec, frame, halting, detector, seed)
     text = outcome.to_json()
     if args.out:
-        _atomic_write(args.out, text + "\n")
+        write_atomic(args.out, text + "\n")
         print(f"frame outcome -> {args.out}")
     else:
         print(text)

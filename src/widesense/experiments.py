@@ -42,14 +42,13 @@ from .errors import InvalidSpecError, ParameterError
 from .recovery import FourierDictionary, omp, sasr
 from .rng import stream_seed
 from .sensing import acquire
-from .signals import GridSpectrumSpec, Spectrum, random_grid_spectrum, signal_time_series
+from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
 from .validation import (
     HaltingConfig,
     confidence_interval,
     confidence_floor_noisy,
-    halt_noisy,
+    halting_rule,
     testing_size_noiseless,
-    validation_parameter,
 )
 
 __all__ = [
@@ -213,16 +212,36 @@ class ExperimentConfig:
             raise InvalidSpecError(f"malformed experiment config: {exc}") from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read an :class:`ExperimentConfig` from a JSON file."""
+def read_json(path: str):
+    """Parse a JSON config file; unreadable or malformed files are config errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InvalidSpecError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(f"config {path} is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file, so partial files
+    never land on disk."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Read an :class:`ExperimentConfig` from a JSON file."""
+    return ExperimentConfig.from_dict(read_json(path))
 
 
 _SCHEMAS = {
@@ -329,18 +348,7 @@ class ResultTable:
         """Atomically write the table; partial files never land on disk."""
         if fmt not in ("csv", "json"):
             raise ParameterError(f"format must be 'csv' or 'json', got {fmt!r}")
-        text = self.to_csv_text() if fmt == "csv" else self.to_json_text()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, self.to_csv_text() if fmt == "csv" else self.to_json_text())
 
 
 def _map_trials(fn, argses, workers: int) -> list:
@@ -530,12 +538,10 @@ def _tracking_trial(args):
     eta = float(base["confidence_factor"])
     records = []
     p_final = 0
-    for p, measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
-        n = frame.nyquist_per_step * p
+    for p, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
         truth = np.fft.fft(signal_time_series(spec, p * frame.time_step).samples)
         error = float(np.linalg.norm(truth - recovery.estimate.bins))
-        rho = validation_parameter(measurements.testing, measurements.psi, recovery.estimate)
-        report = confidence_interval(rho, p, frame.nyquist_per_step, eta, v * p)
+        report = confidence_interval(recovery.rho_trace[-1], p, frame.nyquist_per_step, eta, v * p)
         halted = recovery.halted_by == "criterion"
         in_window = (
             error > 0.0
@@ -691,18 +697,15 @@ def run_acss_vs_cs(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _halting_trial(args):
-    theta_factor, v, delta, n, seed = args
-    rng = np.random.default_rng(seed)
-    spec = random_grid_spectrum(rng, n, float(n), 4, 1)
-    x = signal_time_series(spec, 1.0)
-    psi = rng.standard_normal((v, n))
-    measurements = acquire(x, np.zeros((1, n)), psi, noise_std=delta,
-                           noise_seed=stream_seed(seed, "noise"))
-    exact = Spectrum(bins=np.fft.fft(x.samples))
-    rho = validation_parameter(measurements.testing, measurements.psi, exact)
+    theta_factor, v, delta, seed = args
+    # With an exact estimate the testing residual is the receiver noise
+    # alone; draw it as acquire does for one training row and v testing rows.
+    rng = np.random.default_rng(stream_seed(seed, "noise"))
+    rng.standard_normal(2)
+    noise = delta * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
     halting = HaltingConfig(mode="noisy", max_sparsity=1, noise_std=delta,
                             accuracy=theta_factor * delta)
-    return halt_noisy(rho, halting)
+    return halting_rule(halting, 1, 1, v)(float(np.abs(noise).sum() / v))
 
 
 def run_halting_probability(cfg: ExperimentConfig) -> ResultTable:
@@ -710,11 +713,12 @@ def run_halting_probability(cfg: ExperimentConfig) -> ResultTable:
 
     With the true spectrum substituted for the estimate the testing residual
     is pure receiver noise, so each trial samples the criterion event whose
-    probability the analytic floor bounds from below.
+    probability the analytic floor bounds from below.  The signal cancels
+    exactly, so the ``signal_length`` base key is accepted but does not
+    affect the result.
     """
     _expect(cfg, "halting_probability")
     delta = float(cfg.base.get("noise_std", 1.0))
-    n = int(cfg.base.get("signal_length", 200))
     factors = [float(f) for f in cfg.grid.get("accuracy_factor", (0.6, 0.65, 0.7))]
     v_list = [int(v) for v in cfg.grid.get("testing_size", tuple(range(10, 101, 10)))]
     digest = cfg.digest()
@@ -722,7 +726,7 @@ def run_halting_probability(cfg: ExperimentConfig) -> ResultTable:
     for factor in factors:
         for v in v_list:
             seed_base = stream_seed(cfg.master_seed, cfg.name, f"{factor}:{v}")
-            tasks = [(factor, v, delta, n, stream_seed(seed_base, "trial", t))
+            tasks = [(factor, v, delta, stream_seed(seed_base, "trial", t))
                      for t in range(cfg.trials)]
             hits = _map_trials(_halting_trial, tasks, cfg.workers)
             rows.append({

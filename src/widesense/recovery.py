@@ -20,7 +20,6 @@ the dictionary for the correlations plus O(rows * support) for the update.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,21 +27,18 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .sensing import MeasurementSet
 from .signals import Spectrum
-from .validation import HaltingConfig, RAYLEIGH_MEAN_FACTOR, noiseless_threshold
+from .validation import HaltingConfig, halting_rule
 
 __all__ = [
     "RecoveryResult",
-    "LeastSquaresInfo",
     "FourierDictionary",
-    "least_squares_on_support",
     "omp",
     "sasr",
-    "brute_force_l0",
 ]
 
 
 class FourierDictionary:
-    """Matrix-free stand-in for ``sensing_dictionary(matrix)``.
+    """Matrix-free sensing dictionary ``matrix @ inverse_dft``.
 
     Correlations A^H g collapse to fft(matrix.T @ g) / n and a single
     column to matrix @ exp(2j pi arange(n) j / n) / n, so pursuit never
@@ -111,13 +107,6 @@ class RecoveryResult:
     rank_deficient: bool = False
 
 
-@dataclass(frozen=True)
-class LeastSquaresInfo:
-    rank: int
-    rank_deficient: bool
-    residual_norm: float
-
-
 class _IncrementalFit:
     """Thin-QR least squares over a growing column subset of A."""
 
@@ -130,9 +119,10 @@ class _IncrementalFit:
         self.qty = np.empty(0, dtype=np.complex128)
         self.support: list[int] = []
         self.residual = self.y.copy()
+        self.rank_deficient = False
 
     def try_add(self, j: int) -> bool:
-        """Add column j; False when it is numerically dependent."""
+        """Add column j; False, and flagged, when it is numerically dependent."""
         a = self.ops.column(j)
         h1 = self.Q.conj().T @ a
         q = a - self.Q @ h1
@@ -141,6 +131,7 @@ class _IncrementalFit:
         q -= self.Q @ h2
         nrm = np.linalg.norm(q)
         if nrm <= 1e-10 * max(np.linalg.norm(a), 1e-300):
+            self.rank_deficient = True
             return False
         q /= nrm
         t = len(self.support)
@@ -164,45 +155,38 @@ class _IncrementalFit:
         return float(np.linalg.norm(self.residual))
 
 
-def least_squares_on_support(
-    training: np.ndarray,
-    dictionary: np.ndarray,
-    support,
-    return_info: bool = False,
-):
-    """Least-squares spectrum estimate confined to ``support``.
-
-    Rank-deficient column subsets fall back to the minimum-norm solution and
-    are flagged in the optional :class:`LeastSquaresInfo`.
-    """
-    training = np.asarray(training)
-    if dictionary.ndim != 2 or dictionary.shape[0] != training.size:
-        raise DimensionError(
-            f"dictionary shape {dictionary.shape} incompatible with "
-            f"{training.size} training rows"
-        )
-    support = list(support)
-    n = dictionary.shape[1]
-    if any(not 0 <= j < n for j in support):
-        raise ParameterError("support indices out of range")
-    if len(set(support)) != len(support):
-        raise ParameterError("support indices must be distinct")
-    bins = np.zeros(n, dtype=np.complex128)
-    if not support:
-        info = LeastSquaresInfo(0, False, float(np.linalg.norm(training)))
-        est = Spectrum(bins=bins)
-        return (est, info) if return_info else est
-    coef, _, rank, _ = np.linalg.lstsq(dictionary[:, support], training, rcond=None)
-    bins[support] = coef
-    resid = float(np.linalg.norm(training - dictionary[:, support] @ coef))
-    info = LeastSquaresInfo(int(rank), int(rank) < len(support), resid)
-    est = Spectrum(bins=bins)
-    return (est, info) if return_info else est
-
-
 def _best_column(ops, residual: np.ndarray) -> int:
     # Ties resolve to the lowest index via argmax.
     return int(np.argmax(np.abs(ops.correlations(residual))))
+
+
+def _pursue(fit: _IncrementalFit, steps: int):
+    """Add up to ``steps`` greedy picks to ``fit``, yielding after each.
+
+    Stops early when the best column repeats or is numerically dependent,
+    which with random dictionaries signals the residual has already
+    collapsed to numerical noise.
+    """
+    for _ in range(steps):
+        j = _best_column(fit.ops, fit.residual)
+        if j in fit.support or not fit.try_add(j):
+            return
+        yield
+
+
+def _result(fit: _IncrementalFit, rho_trace, residual_trace, halted_by: str) -> RecoveryResult:
+    bins = np.zeros(fit.ops.shape[1], dtype=np.complex128)
+    if fit.support:
+        bins[fit.support] = fit.coefficients()
+    return RecoveryResult(
+        estimate=Spectrum(bins=bins),
+        support=tuple(fit.support),
+        iterations=len(fit.support),
+        rho_trace=tuple(rho_trace),
+        residual_trace=tuple(residual_trace),
+        halted_by=halted_by,
+        rank_deficient=fit.rank_deficient,
+    )
 
 
 def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
@@ -210,8 +194,7 @@ def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
 
     ``dictionary`` may be a dense array or a :class:`FourierDictionary`.
     Stops early (reported as "k_max_exhausted") only if the selected column
-    repeats or goes rank deficient, which with random dictionaries signals
-    the residual has already collapsed to numerical noise.
+    repeats or goes rank deficient.
     """
     training = np.asarray(training, dtype=np.complex128)
     ops = _as_ops(dictionary)
@@ -225,40 +208,20 @@ def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
             "the refit would be underdetermined"
         )
     fit = _IncrementalFit(ops, training)
-    residual_trace: list[float] = []
-    halted_by = "fixed_k"
-    rank_deficient = False
-    for _ in range(k):
-        j = _best_column(ops, fit.residual)
-        if j in fit.support:
-            halted_by = "k_max_exhausted"
-            break
-        if not fit.try_add(j):
-            halted_by = "k_max_exhausted"
-            rank_deficient = True
-            break
-        residual_trace.append(fit.residual_norm())
-    bins = np.zeros(ops.shape[1], dtype=np.complex128)
-    if fit.support:
-        bins[fit.support] = fit.coefficients()
-    return RecoveryResult(
-        estimate=Spectrum(bins=bins),
-        support=tuple(fit.support),
-        iterations=len(fit.support),
-        rho_trace=(),
-        residual_trace=tuple(residual_trace),
-        halted_by=halted_by,
-        rank_deficient=rank_deficient,
-    )
+    residual_trace = [fit.residual_norm() for _ in _pursue(fit, k)]
+    halted_by = "fixed_k" if len(fit.support) == k else "k_max_exhausted"
+    return _result(fit, (), residual_trace, halted_by)
 
 
 def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult:
     """Sparsity-agnostic pursuit halted by the validation criterion.
 
     After each refit the validation parameter of the current estimate is
-    computed on the held-out testing rows and fed to the halting rule of
-    ``halting.mode``.  The true sparsity is never consulted; the loop runs
-    until the criterion fires or ``max_sparsity`` iterations are spent.
+    computed on the held-out testing rows and fed to the step's
+    :func:`~widesense.validation.halting_rule`.  The true sparsity is never
+    consulted; the loop runs until the criterion fires, ``max_sparsity``
+    iterations are spent, or the training residual reaches its numerical
+    floor.
     """
     A = FourierDictionary(measurements.phi)
     B = FourierDictionary(measurements.psi)
@@ -267,103 +230,26 @@ def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult
     v_p = len(testing)
     if v_p < 1:
         raise ParameterError("sasr needs at least one testing measurement")
-    n = A.shape[1]
-    p = measurements.step_index
-    N = measurements.step_nyquist_count
-    k_cap = min(halting.max_sparsity, len(y))
-
-    # The halting test is constant within a step, so resolve it up front.
-    # A configured min_testing keeps the criterion closed until the testing
-    # subset is large enough to be trusted.
-    gate_open = halting.min_testing is None or v_p >= halting.min_testing
-    threshold = None
-    if gate_open and halting.mode == "noiseless":
-        threshold = noiseless_threshold(p, N, halting, v_p)
-
-    def criterion(rho: float) -> bool:
-        if not gate_open:
-            return False
-        if halting.mode == "noiseless":
-            return rho <= threshold
-        return abs(rho - RAYLEIGH_MEAN_FACTOR * halting.noise_std) <= halting.accuracy
-
+    halts = halting_rule(halting, measurements.step_index, measurements.step_nyquist_count, v_p)
+    fit = _IncrementalFit(A, y)
     # The zero estimate may already satisfy the criterion (pure-noise or
     # zero-signal measurements); a zero training vector also leaves the
     # pursuit nothing to do.
-    rho0 = float(np.abs(testing).sum() / v_p)
-    y_norm = float(np.linalg.norm(y))
-    if criterion(rho0) or y_norm == 0.0:
-        return RecoveryResult(
-            estimate=Spectrum(bins=np.zeros(n, dtype=np.complex128)),
-            support=(),
-            iterations=0,
-            rho_trace=(rho0,),
-            residual_trace=(),
-            halted_by="criterion" if criterion(rho0) else "k_max_exhausted",
-        )
-
-    fit = _IncrementalFit(A, y)
-    testing_columns = np.empty((v_p, 0), dtype=np.complex128)
-    rho_trace: list[float] = [rho0]
+    rho_trace = [float(np.abs(testing).sum() / v_p)]
     residual_trace: list[float] = []
-    halted_by = "k_max_exhausted"
-    rank_deficient = False
-    for _ in range(k_cap):
-        if fit.residual_norm() <= 1e-12 * y_norm:
+    y_norm = float(np.linalg.norm(y))
+    if halts(rho_trace[0]):
+        return _result(fit, rho_trace, residual_trace, "criterion")
+    if y_norm == 0.0:
+        return _result(fit, rho_trace, residual_trace, "k_max_exhausted")
+    testing_columns = np.empty((v_p, 0), dtype=np.complex128)
+    for _ in _pursue(fit, min(halting.max_sparsity, len(y))):
+        testing_columns = np.column_stack([testing_columns, B.column(fit.support[-1])])
+        rho_trace.append(float(np.abs(testing - testing_columns @ fit.coefficients()).sum() / v_p))
+        residual_trace.append(fit.residual_norm())
+        if halts(rho_trace[-1]):
+            return _result(fit, rho_trace, residual_trace, "criterion")
+        if residual_trace[-1] <= 1e-12 * y_norm:
             # Training residual at numerical floor; further picks are noise.
             break
-        j = _best_column(A, fit.residual)
-        if j in fit.support:
-            break
-        if not fit.try_add(j):
-            rank_deficient = True
-            break
-        testing_columns = np.column_stack([testing_columns, B.column(j)])
-        coef = fit.coefficients()
-        rho = float(np.abs(testing - testing_columns @ coef).sum() / v_p)
-        rho_trace.append(rho)
-        residual_trace.append(fit.residual_norm())
-        if criterion(rho):
-            halted_by = "criterion"
-            break
-    bins = np.zeros(n, dtype=np.complex128)
-    if fit.support:
-        bins[fit.support] = fit.coefficients()
-    return RecoveryResult(
-        estimate=Spectrum(bins=bins),
-        support=tuple(fit.support),
-        iterations=len(fit.support),
-        rho_trace=tuple(rho_trace),
-        residual_trace=tuple(residual_trace),
-        halted_by=halted_by,
-        rank_deficient=rank_deficient,
-    )
-
-
-def brute_force_l0(training: np.ndarray, dictionary: np.ndarray, k: int) -> Spectrum:
-    """Exact sparse solve by support enumeration; tiny problems only.
-
-    Scans all supports of size 0..k and returns the least-squares solution
-    with the smallest training residual; ties go to the lexicographically
-    first support.  Guarded to n <= 24 columns and k <= 3.
-    """
-    training = np.asarray(training, dtype=np.complex128)
-    if dictionary.ndim != 2 or dictionary.shape[0] != training.size:
-        raise DimensionError("dictionary rows must match training size")
-    n = dictionary.shape[1]
-    if n > 24 or k > 3:
-        raise ParameterError("brute force is limited to n <= 24 and k <= 3")
-    if k < 0:
-        raise ParameterError("k must be >= 0")
-    best_resid = float(np.linalg.norm(training))
-    best: Spectrum = Spectrum(bins=np.zeros(n, dtype=np.complex128))
-    for size in range(1, k + 1):
-        for support in itertools.combinations(range(n), size):
-            coef, _, _, _ = np.linalg.lstsq(dictionary[:, support], training, rcond=None)
-            resid = float(np.linalg.norm(training - dictionary[:, support] @ coef))
-            if resid < best_resid * (1.0 - 1e-12):
-                best_resid = resid
-                bins = np.zeros(n, dtype=np.complex128)
-                bins[list(support)] = coef
-                best = Spectrum(bins=bins)
-    return best
+    return _result(fit, rho_trace, residual_trace, "k_max_exhausted")

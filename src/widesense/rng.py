@@ -1,8 +1,9 @@
 """Deterministic random-stream derivation.
 
-Every stochastic quantity in a trial (signal offset, measurement matrices,
-noise, row splits) draws from its own named substream of one master seed, so
-results are reproducible bit-for-bit and independent of evaluation order.
+Every stochastic quantity in a trial (signal, measurement matrices, noise)
+draws from ``np.random.default_rng(stream_seed(master_seed, *path))``, its own
+named substream of one master seed, so results are reproducible bit-for-bit
+and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -18,19 +19,6 @@ def _key_part(part: int | str) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
     return int(part) & 0xFFFFFFFF
-
-
-def substream(master_seed: int, *path: int | str) -> np.random.Generator:
-    """Generator for the substream named by ``path`` under ``master_seed``.
-
-    The same (seed, path) pair always yields an identical stream; distinct
-    paths yield statistically independent streams.
-    """
-    ss = np.random.SeedSequence(
-        entropy=int(master_seed) & _MASK64,
-        spawn_key=tuple(_key_part(p) for p in path),
-    )
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def stream_seed(master_seed: int, *path: int | str) -> int:

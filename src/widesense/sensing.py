@@ -26,11 +26,8 @@ from .signals import TimeSeries, _frozen
 __all__ = [
     "RandomMatrixSpec",
     "MeasurementSet",
-    "SplitPolicy",
     "draw_matrix",
-    "split_rows",
     "acquire",
-    "sensing_dictionary",
 ]
 
 _DISTRIBUTIONS = ("gaussian_standard", "bernoulli_symmetric")
@@ -61,42 +58,10 @@ class RandomMatrixSpec:
 
 def draw_matrix(spec: RandomMatrixSpec) -> np.ndarray:
     """Realize the matrix described by ``spec``; same spec, same matrix."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+    rng = np.random.default_rng(spec.seed)
     if spec.distribution == "gaussian_standard":
         return rng.standard_normal((spec.rows, spec.cols))
     return rng.integers(0, 2, size=(spec.rows, spec.cols)).astype(np.float64) * 2.0 - 1.0
-
-
-@dataclass(frozen=True)
-class SplitPolicy:
-    """How to partition measurement rows into training and testing."""
-
-    testing_size: int
-    assignment: str = "tail_rows"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.testing_size < 0:
-            raise ParameterError("testing_size must be >= 0")
-        if self.assignment not in ("tail_rows", "random_rows"):
-            raise ParameterError(f"unknown assignment {self.assignment!r}")
-
-
-def split_rows(total_rows: int, policy: SplitPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint (training, testing) row indices covering range(total_rows)."""
-    if policy.testing_size >= total_rows:
-        raise ParameterError(
-            f"testing_size {policy.testing_size} must leave at least one "
-            f"training row out of {total_rows}"
-        )
-    if policy.assignment == "tail_rows":
-        cut = total_rows - policy.testing_size
-        return np.arange(cut), np.arange(cut, total_rows)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(policy.seed)))
-    perm = rng.permutation(total_rows)
-    train = np.sort(perm[: total_rows - policy.testing_size])
-    test = np.sort(perm[total_rows - policy.testing_size :])
-    return train, test
 
 
 @dataclass(frozen=True)
@@ -169,7 +134,7 @@ def acquire(
     training = phi @ samples
     testing = psi @ samples
     if noise_std > 0.0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(noise_seed)))
+        rng = np.random.default_rng(noise_seed)
         r, v = len(training), len(testing)
         training = training + noise_std * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
         testing = testing + noise_std * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
@@ -185,15 +150,3 @@ def acquire(
         step_index=step_index,
         step_nyquist_count=samples.size // step_index,
     )
-
-
-def sensing_dictionary(matrix: np.ndarray) -> np.ndarray:
-    """Columns of ``matrix @ inverse_dft`` without forming the dense DFT.
-
-    Row i of the result is the inverse DFT of row i of ``matrix``, so the
-    product with a spectrum X equals matrix @ idft(X).  Cost is one FFT per
-    row instead of an n-by-n matrix product.
-    """
-    if matrix.ndim != 2:
-        raise DimensionError("measurement matrix must be two-dimensional")
-    return np.fft.ifft(matrix, axis=1)

@@ -10,8 +10,7 @@ generator families are provided:
   with sinc(u) = sin(pi u) / (pi u).  Each subband l has received power
   scaling E_l, bandwidth B_l and centre frequency f_l; alpha is a common
   time offset.  The pulse is observed through a rectangular window, so its
-  sampled spectrum carries side-lobe leakage; :func:`effective_sparsity`
-  quantifies the resulting occupancy.
+  sampled spectrum carries side-lobe leakage.
 
 * :class:`GridSpectrumSpec` describes a stationary multitone signal whose
   tones sit exactly on the frequency grid of a single sensing slot.  Its
@@ -45,8 +44,6 @@ __all__ = [
     "signal_time_series",
     "dft",
     "idft",
-    "effective_sparsity",
-    "random_signal_spec",
     "random_grid_spectrum",
 ]
 
@@ -340,72 +337,9 @@ def idft(spectrum: Spectrum, rate: float | None = None) -> TimeSeries:
     return TimeSeries(samples=x, rate=rate)
 
 
-def effective_sparsity(spectrum: Spectrum, magnitude_threshold: float) -> int:
-    """Number of bins with modulus strictly above ``magnitude_threshold``."""
-    if magnitude_threshold < 0:
-        raise ParameterError("magnitude_threshold must be >= 0")
-    return int(np.count_nonzero(np.abs(spectrum.bins) > magnitude_threshold))
-
-
 # ---------------------------------------------------------------------------
-# Random scenario builders used by the experiment harness and tests.
+# Random scenario builder used by the experiment harness and tests.
 # ---------------------------------------------------------------------------
-
-
-def random_signal_spec(
-    rng: np.random.Generator,
-    total_bandwidth: float,
-    n_subbands: int,
-    slot_duration: float,
-    *,
-    target_sparsity: int | None = None,
-    max_bandwidth: float | None = None,
-    snr_db_range: tuple[float, float] = (7.0, 25.0),
-    noise_power: float = 1.0,
-    time_offset_range: tuple[float, float] = (0.0, 1e-7),
-) -> WidebandSignalSpec:
-    """Draw a pulse-mixture spec with non-overlapping random subbands.
-
-    When ``target_sparsity`` is given, subband widths are set so the nominal
-    occupied-bin count at slot resolution (counting mirrors) equals it;
-    otherwise widths are uniform on (0, max_bandwidth].  Powers are drawn so
-    that power / noise_power is uniform in dB over ``snr_db_range``.
-    """
-    if n_subbands < 1:
-        raise ParameterError("n_subbands must be >= 1")
-    bin_width = 1.0 / slot_duration
-    if target_sparsity is not None:
-        if target_sparsity % (2 * n_subbands):
-            raise ParameterError(
-                f"target_sparsity {target_sparsity} must be divisible by 2 * n_subbands"
-            )
-        widths = [target_sparsity / (2 * n_subbands) * bin_width] * n_subbands
-    else:
-        cap = max_bandwidth if max_bandwidth is not None else 0.02 * total_bandwidth
-        widths = list(rng.uniform(0.1 * cap, cap, size=n_subbands))
-    if sum(widths) > 0.5 * total_bandwidth:
-        raise InvalidSpecError("requested occupancy exceeds half the monitored band")
-
-    # Place subbands left to right inside [0, W] with random gaps.
-    free = total_bandwidth - sum(widths)
-    cuts = np.sort(rng.uniform(0.0, 1.0, size=n_subbands))
-    gaps = np.diff(np.concatenate(([0.0], cuts))) * free
-    subbands = []
-    cursor = 0.0
-    snr_lo, snr_hi = snr_db_range
-    for width, gap in zip(widths, gaps):
-        cursor += gap
-        power = noise_power * 10.0 ** (rng.uniform(snr_lo, snr_hi) / 10.0)
-        subbands.append(
-            SubbandSpec(power=power, bandwidth=width, center_frequency=cursor + width / 2.0)
-        )
-        cursor += width
-    alpha = float(rng.uniform(*time_offset_range))
-    return WidebandSignalSpec(
-        total_bandwidth=total_bandwidth,
-        subbands=tuple(subbands),
-        time_offset=alpha,
-    )
 
 
 def random_grid_spectrum(

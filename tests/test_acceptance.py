@@ -21,7 +21,8 @@ from widesense.experiments import (
     run_phase_transition,
     run_sasr_vs_omp,
 )
-from widesense.recovery import brute_force_l0, omp
+from oracles import brute_force_l0
+from widesense.recovery import omp
 from widesense.signals import Spectrum, TimeSeries, dft, idft
 from widesense.validation import (
     FOUR_MINUS_PI,

@@ -1,15 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from widesense.errors import DimensionError, ParameterError
-from widesense.recovery import (
-    FourierDictionary,
-    brute_force_l0,
-    least_squares_on_support,
-    omp,
-    sasr,
-)
-from widesense.sensing import acquire, sensing_dictionary
+from oracles import brute_force_l0, least_squares_on_support, sensing_dictionary
+from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
+from widesense.recovery import FourierDictionary, omp, sasr
+from widesense.sensing import acquire
 from widesense.signals import GridSpectrumSpec, GridTone, synthesize_grid_signal
 from widesense.validation import HaltingConfig
 
@@ -219,6 +216,16 @@ class TestSasr:
         result = sasr(ms, halting)
         assert result.halted_by == "criterion"
         assert result.iterations == 8
+
+    def test_unsatisfiable_criterion_warns_once_per_call(self):
+        x, phi, psi = _sparse_problem()
+        ms = acquire(x, phi, psi[:2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = sasr(ms, _noiseless_halting(failure_prob=0.05))
+        assert [w.category for w in caught] == [CriterionUnsatisfiableWarning]
+        assert result.halted_by == "k_max_exhausted"
+        assert result.iterations > 1
 
     def test_needs_testing_rows(self):
         x, phi, _ = _sparse_problem()

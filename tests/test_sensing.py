@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import sensing_dictionary
 from widesense.errors import DimensionError, ParameterError
 from widesense.recovery import FourierDictionary
-from widesense.sensing import (
-    MeasurementSet,
-    RandomMatrixSpec,
-    SplitPolicy,
-    acquire,
-    draw_matrix,
-    sensing_dictionary,
-    split_rows,
-)
+from widesense.sensing import MeasurementSet, RandomMatrixSpec, acquire, draw_matrix
 from widesense.signals import TimeSeries
 
 
@@ -48,26 +41,6 @@ def test_draw_matrix_bernoulli_entries():
     spec = RandomMatrixSpec(rows=40, cols=100, distribution="bernoulli_symmetric", seed=3)
     m = draw_matrix(spec)
     assert set(np.unique(m)) == {-1.0, 1.0}
-
-
-class TestSplitRows:
-    def test_tail_assignment(self):
-        train, test = split_rows(10, SplitPolicy(testing_size=3))
-        assert train.tolist() == [0, 1, 2, 3, 4, 5, 6]
-        assert test.tolist() == [7, 8, 9]
-
-    def test_random_assignment_partitions(self):
-        policy = SplitPolicy(testing_size=4, assignment="random_rows", seed=11)
-        train, test = split_rows(12, policy)
-        assert len(train) == 8 and len(test) == 4
-        assert sorted(np.concatenate([train, test]).tolist()) == list(range(12))
-        # deterministic under the policy seed
-        train2, test2 = split_rows(12, policy)
-        assert np.array_equal(train, train2) and np.array_equal(test, test2)
-
-    def test_testing_must_leave_training(self):
-        with pytest.raises(ParameterError):
-            split_rows(5, SplitPolicy(testing_size=5))
 
 
 class TestAcquire:

@@ -13,10 +13,8 @@ from widesense.signals import (
     TimeSeries,
     WidebandSignalSpec,
     dft,
-    effective_sparsity,
     idft,
     random_grid_spectrum,
-    random_signal_spec,
     signal_time_series,
     synthesize_grid_signal,
     synthesize_signal,
@@ -220,33 +218,6 @@ class TestTransforms:
     def test_idft_empty_rejected(self):
         with pytest.raises(DimensionError):
             idft(Spectrum(bins=np.array([])))
-
-
-def test_effective_sparsity_counts_strictly_above():
-    spectrum = Spectrum(bins=np.array([0.0, 3.0, 1.0, 3.0]))
-    assert effective_sparsity(spectrum, 1.0) == 2
-    assert effective_sparsity(spectrum, 0.0) == 3
-    with pytest.raises(ParameterError):
-        effective_sparsity(spectrum, -0.5)
-
-
-def test_random_signal_spec_hits_target_occupancy():
-    """Width layout follows the requested nominal occupied-bin count."""
-    rng = np.random.default_rng(3)
-    tau = 0.2e-6
-    spec = random_signal_spec(
-        rng, 2.5e9, 4, tau, target_sparsity=32, time_offset_range=(tau / 2, tau / 2)
-    )
-    assert len(spec.subbands) == 4
-    # 32 bins at resolution 1/tau, mirrors included -> 16 one-sided bins
-    assert sum(sb.bandwidth for sb in spec.subbands) == pytest.approx(16 / tau)
-    assert spec.time_offset == pytest.approx(tau / 2)
-
-
-def test_random_signal_spec_rejects_indivisible_sparsity():
-    rng = np.random.default_rng(4)
-    with pytest.raises(ParameterError):
-        random_signal_spec(rng, 2.5e9, 3, 0.2e-6, target_sparsity=32)
 
 
 def test_random_grid_spectrum_layout():

@@ -13,9 +13,7 @@ from widesense.validation import (
     confidence_floor_noisy,
     confidence_interval,
     empirical_interval_coverage,
-    estimate_jl_constant,
-    halt_noiseless,
-    halt_noisy,
+    halting_rule,
     noiseless_threshold,
     scaled_validation_parameter,
     testing_size_noiseless,
@@ -199,23 +197,29 @@ class TestNoiselessThreshold:
     def test_halt_noiseless_agrees_with_threshold(self):
         cfg = _noiseless_cfg()
         thr = noiseless_threshold(2, 100, cfg)
-        assert halt_noiseless(thr * 0.999, 2, 100, cfg)
-        assert not halt_noiseless(thr * 1.001, 2, 100, cfg)
+        halts = halting_rule(cfg, 2, 100, 10)
+        assert halts(thr * 0.999)
+        assert not halts(thr * 1.001)
 
 
 class TestHaltNoisy:
     def test_frozen_decisions(self):
-        cfg = _noisy_cfg()
-        assert not halt_noisy(1.9, cfg)
-        assert halt_noisy(0.7, cfg)
+        halts = halting_rule(_noisy_cfg(), 1, 100, 10)
+        assert not halts(1.9)
+        assert halts(0.7)
 
     def test_centered_on_rayleigh_mean(self):
         cfg = _noisy_cfg(noise_std=2.0, accuracy=0.1)
-        assert halt_noisy(RAYLEIGH_MEAN_FACTOR * 2.0, cfg)
+        assert halting_rule(cfg, 1, 100, 10)(RAYLEIGH_MEAN_FACTOR * 2.0)
 
-    def test_needs_noisy_mode(self):
-        with pytest.raises(ParameterError):
-            halt_noisy(0.5, _noiseless_cfg())
+
+@pytest.mark.parametrize("cfg", [
+    _noiseless_cfg(min_testing=40),
+    _noisy_cfg(noise_std=1e-9, min_testing=40),
+])
+def test_halting_rule_closed_below_min_testing(cfg):
+    assert not halting_rule(cfg, 1, 200, 39)(0.0)
+    assert halting_rule(cfg, 1, 200, 40)(0.0)
 
 
 class TestEmpiricalCoverage:
@@ -236,8 +240,3 @@ class TestEmpiricalCoverage:
     def test_rejects_unknown_ensemble(self):
         with pytest.raises(ParameterError):
             empirical_interval_coverage(0.3, 10, 10, distribution="cauchy")
-
-
-def test_estimate_jl_constant_near_one_for_gaussian():
-    c = estimate_jl_constant(0.25, 30, trials=4000, seed=3)
-    assert 0.1 < c < 3.0
