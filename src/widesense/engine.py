@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, ParameterError
+from .errors import InvalidSpecError, ParameterError, require_finite
 from .recovery import RecoveryResult, sasr
 from .rng import stream_seed
 from .sensing import RandomMatrixSpec, acquire, draw_matrix
@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 
+def _check_keys(section: str, raw: dict, required: set) -> None:
+    extra = set(raw) - required
+    if extra:
+        raise ParameterError(f"unknown {section} config keys: {sorted(extra)}")
+    missing = required - set(raw)
+    if missing:
+        raise ParameterError(f"missing {section} config keys: {sorted(missing)}")
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     """Timing and sampling-rate layout of one periodic sensing frame."""
@@ -59,6 +68,7 @@ class FrameConfig:
     testing_per_step: int
 
     def __post_init__(self) -> None:
+        require_finite("frame", self.to_dict())
         for name in ("frame_length", "min_transmission", "time_step",
                      "nyquist_rate", "sub_nyquist_rate"):
             if getattr(self, name) <= 0:
@@ -101,9 +111,7 @@ class FrameConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FrameConfig":
-        extra = set(raw) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ParameterError(f"unknown frame config keys: {sorted(extra)}")
+        _check_keys("frame", raw, set(cls.__dataclass_fields__))
         return cls(**raw)
 
 
@@ -115,6 +123,7 @@ class DetectorConfig:
     threshold: float
 
     def __post_init__(self) -> None:
+        require_finite("detector", {"threshold": self.threshold})
         if self.threshold <= 0:
             raise ParameterError("detection threshold must be positive")
         if not self.bands:
@@ -122,6 +131,7 @@ class DetectorConfig:
         clean = []
         for band in self.bands:
             low, high = float(band[0]), float(band[1])
+            require_finite("detector band", {"low": low, "high": high})
             if low < 0 or high <= low:
                 raise ParameterError(f"invalid band ({low}, {high})")
             clean.append((low, high))
@@ -133,9 +143,7 @@ class DetectorConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DetectorConfig":
-        extra = set(raw) - {"bands", "threshold"}
-        if extra:
-            raise ParameterError(f"unknown detector config keys: {sorted(extra)}")
+        _check_keys("detector", raw, {"bands", "threshold"})
         return cls(bands=tuple(tuple(b) for b in raw["bands"]),
                    threshold=raw["threshold"])
 

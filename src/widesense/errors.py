@@ -1,5 +1,7 @@
 """Error and warning types shared across the package."""
 
+import math
+
 
 class InvalidSpecError(ValueError):
     """A signal or configuration object violates its own consistency rules."""
@@ -11,6 +13,17 @@ class DimensionError(ValueError):
 
 class ParameterError(ValueError):
     """A scalar parameter is outside its admissible range."""
+
+
+def require_finite(owner: str, values: dict) -> None:
+    """Raise :class:`ParameterError` for the first NaN or infinite value.
+
+    ``None`` marks an optional value left unset and passes.  Comparisons
+    with NaN are all false, so range checks alone would let it through.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{owner} {name} must be finite, got {value}")
 
 
 class CriterionUnsatisfiableWarning(UserWarning):

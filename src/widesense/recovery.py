@@ -43,7 +43,16 @@ class FourierDictionary:
     Correlations A^H g collapse to fft(matrix.T @ g) / n and a single
     column to matrix @ exp(2j pi arange(n) j / n) / n, so pursuit never
     materializes the rows x n complex product.  Only real measurement
-    matrices are supported.
+    matrices are supported, and every product with the matrix stays in
+    real arithmetic: the real and imaginary parts of the residual (or the
+    cosine and sine of the column phase) form one two-row real operand, so
+    the matrix is never copied to complex.
+
+    Because the matrix is real, column n - j is the conjugate of column j.
+    The dictionary keeps the columns it has built and serves a mirror
+    request by conjugation; columns 0 and n/2 are their own mirrors and are
+    always computed.  One dictionary serves one pursuit, so it holds at most
+    one column per pick.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -54,14 +63,23 @@ class FourierDictionary:
             raise ParameterError("FourierDictionary expects a real matrix")
         self.matrix = matrix
         self.shape = matrix.shape
+        self._columns: dict[int, np.ndarray] = {}
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
-        return np.fft.fft(self.matrix.T @ residual) / self.shape[1]
+        re, im = np.stack([residual.real, residual.imag]) @ self.matrix
+        return np.fft.fft(re + 1j * im) / self.shape[1]
 
     def column(self, j: int) -> np.ndarray:
         n = self.shape[1]
-        phase = np.exp((2j * np.pi * j / n) * np.arange(n))
-        return (self.matrix @ phase) / n
+        mirror = -j % n
+        if mirror != j and mirror in self._columns:
+            return self._columns[mirror].conj()
+        angle = (2 * np.pi * j / n) * np.arange(n)
+        re, im = np.stack([np.cos(angle), np.sin(angle)]) @ self.matrix.T
+        col = (re + 1j * im) / n
+        col.flags.writeable = False
+        self._columns[j] = col
+        return col
 
 
 class _DenseOps:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
+from .errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError, require_finite
 from .signals import Spectrum
 
 __all__ = [
@@ -92,6 +92,9 @@ class HaltingConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("noiseless", "noisy"):
             raise ParameterError(f"mode must be 'noiseless' or 'noisy', got {self.mode!r}")
+        fields = self.to_dict()
+        del fields["mode"]
+        require_finite("halting", fields)
         if self.max_sparsity < 1:
             raise ParameterError("max_sparsity must be >= 1")
         if self.jl_constant <= 0:
@@ -144,6 +147,9 @@ class HaltingConfig:
         extra = set(raw) - known
         if extra:
             raise ParameterError(f"unknown halting config keys: {sorted(extra)}")
+        missing = {"mode", "max_sparsity"} - set(raw)
+        if missing:
+            raise ParameterError(f"missing halting config keys: {sorted(missing)}")
         kwargs = dict(raw)
         if kwargs.get("jl_constant") is None:
             kwargs.pop("jl_constant", None)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestFrameConfig:
         with pytest.raises(ParameterError):
             FrameConfig.from_dict({**frame.to_dict(), "rate": 1.0})
 
+    def test_from_dict_names_missing_keys(self):
+        raw = _frame().to_dict()
+        del raw["testing_per_step"], raw["time_step"]
+        with pytest.raises(ParameterError, match=r"\['testing_per_step', 'time_step'\]"):
+            FrameConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "frame_length", "min_transmission", "time_step", "nyquist_rate",
+        "sub_nyquist_rate", "testing_per_step",
+    ])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            _frame(**{field: value})
+
 
 def test_max_steps_examples():
     assert max_steps(FrameConfig(4e-6, 2.4e-6, 0.2e-6, 5e9, 1e9, 60)) == 8
@@ -92,6 +108,21 @@ class TestDetectorConfig:
     def test_round_trip(self):
         det = DetectorConfig(bands=((0.0, 1e9), (1e9, 2.5e9)), threshold=2.0)
         assert DetectorConfig.from_dict(det.to_dict()) == det
+
+    @pytest.mark.parametrize("key", ["bands", "threshold"])
+    def test_from_dict_names_missing_keys(self, key):
+        raw = DetectorConfig(bands=((0.0, 1e9),), threshold=2.0).to_dict()
+        del raw[key]
+        with pytest.raises(ParameterError, match=key):
+            DetectorConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["threshold", "low", "high"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        edges = {"low": 0.0, "high": 1e9, field: value}
+        threshold = value if field == "threshold" else 1.0
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            DetectorConfig(bands=((edges["low"], edges["high"]),), threshold=threshold)
 
 
 def test_uniform_bands_cover_the_interval():

@@ -406,6 +406,23 @@ class TestCli:
         missing = self._write(tmp_path, {"frame": dict(DESK_FRAME, testing_per_step=10)}, "f.json")
         assert main(["frame", missing]) == 1
 
+    @pytest.mark.parametrize("section, edit, message", [
+        ("frame", lambda raw: raw.update(frame_length=math.nan), "frame_length must be finite"),
+        ("frame", lambda raw: raw.pop("testing_per_step"), "missing frame config keys"),
+        ("detector", lambda raw: raw.pop("bands"), "missing detector config keys"),
+    ], ids=["nan-frame-length", "no-testing-per-step", "no-detector-bands"])
+    def test_malformed_frame_sections_exit_one(self, tmp_path, capsys, section, edit, message):
+        payload = {
+            "frame": dict(DESK_FRAME, testing_per_step=10),
+            "halting": {"mode": "noiseless", "max_sparsity": 8,
+                        "error_threshold": 1.0, "confidence_factor": 0.2},
+            "signal": {"reference_length": 200, "nyquist_hz": 5e9, "tones": [[12, 1.0, 0.0]]},
+            "detector": {"bands": [[0.0, 1e9]], "threshold": 1.0},
+        }
+        edit(payload[section])
+        assert main(["frame", self._write(tmp_path, payload)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_bad_invocations_exit_one(self, capsys):
         for argv in ([], ["nope"], ["run"]):
             with pytest.raises(SystemExit) as info:

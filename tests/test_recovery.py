@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,11 +43,32 @@ class TestFourierDictionary:
 
     def test_correlations_match_dense(self):
         rng = np.random.default_rng(0)
-        phi = rng.standard_normal((6, 32))
-        residual = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        dense = sensing_dictionary(phi)
+        wide = rng.standard_normal((6, 64))
+        complex_residual = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        real_residual = rng.standard_normal(6)
+        # a contiguous matrix and a strided view, each against a complex
+        # and a real-valued residual
+        for phi in (wide[:, :32], wide[:, ::2]):
+            dense = sensing_dictionary(phi)
+            ops = FourierDictionary(phi)
+            for residual in (complex_residual, real_residual):
+                np.testing.assert_allclose(ops.correlations(residual),
+                                           dense.conj().T @ residual, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["correlations", "column"])
+    def test_products_do_not_copy_the_matrix(self, method):
+        rng = np.random.default_rng(5)
+        phi = rng.standard_normal((400, 2000))
         ops = FourierDictionary(phi)
-        assert np.allclose(ops.correlations(residual), dense.conj().T @ residual, atol=1e-12)
+        residual = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+        arg = residual if method == "correlations" else 7
+        tracemalloc.start()
+        try:
+            getattr(ops, method)(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < phi.nbytes / 4
 
 
 class TestOmp:

@@ -142,11 +142,15 @@ class TestSensingDictionary:
 
     def test_agrees_with_operator_columns(self):
         rng = np.random.default_rng(13)
-        phi = rng.standard_normal((5, 12))
-        a = sensing_dictionary(phi)
-        ops = FourierDictionary(phi)
-        for j in (0, 3, 11):
-            assert np.allclose(a[:, j], ops.column(j), atol=1e-12)
+        wide = rng.standard_normal((5, 24))
+        # 3 and 9 are mirrors (built in either order), 0 and 6 their own
+        # mirrors; the strided view checks a non-contiguous matrix
+        for phi in (wide[:, :12], wide[:, ::2]):
+            a = sensing_dictionary(phi)
+            for order in ((0, 3, 11), (3, 9), (9, 3), (0, 6, 6, 0)):
+                ops = FourierDictionary(phi)
+                for j in order:
+                    np.testing.assert_allclose(ops.column(j), a[:, j], rtol=0, atol=1e-12)
 
     def test_rejects_vector(self):
         with pytest.raises(DimensionError):

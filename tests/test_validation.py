@@ -63,6 +63,29 @@ class TestHaltingConfig:
         with pytest.raises(ParameterError):
             HaltingConfig.from_dict({"mode": "noisy", "max_sparsity": 5, "sigma": 1.0})
 
+    @pytest.mark.parametrize("key", ["mode", "max_sparsity"])
+    def test_from_dict_names_missing_keys(self, key):
+        raw = _noisy_cfg().to_dict()
+        del raw[key]
+        with pytest.raises(ParameterError, match=key):
+            HaltingConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", [
+        (_noiseless_cfg, "max_sparsity"),
+        (_noiseless_cfg, "error_threshold"),
+        (_noiseless_cfg, "confidence_factor"),
+        (_noiseless_cfg, "jl_constant"),
+        (_noiseless_cfg, "failure_prob"),
+        (_noiseless_cfg, "min_testing"),
+        (_noisy_cfg, "noise_std"),
+        (_noisy_cfg, "accuracy"),
+        (_noisy_cfg, "confidence_floor"),
+    ])
+    def test_rejects_non_finite_numbers(self, make, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            make(**{field: value})
+
 
 class TestValidationParameter:
     def test_matches_hand_computation(self):
