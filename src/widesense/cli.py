@@ -14,7 +14,7 @@ import json
 import sys
 
 from .engine import DetectorConfig, FrameConfig, calibrate_lambda, run_frame, uniform_bands
-from .errors import InvalidSpecError, ParameterError
+from .errors import InvalidSpecError, ParameterError, require_integer
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -114,7 +114,8 @@ def _cmd_frame(args) -> int:
         detector = DetectorConfig(
             bands=uniform_bands(frame.nyquist_rate / 2.0, 4), threshold=1.0
         )
-    seed = args.seed if args.seed is not None else int(raw.get("master_seed", 0))
+    seed = args.seed if args.seed is not None else raw.get("master_seed", 0)
+    require_integer("frame config", {"master_seed": seed})
     outcome = run_frame(spec, frame, halting, detector, seed)
     text = outcome.to_json()
     if args.out:
@@ -135,12 +136,12 @@ def _cmd_calibrate(args) -> int:
     raw = _read_json(args.config)
     frame, halting = _frame_pieces(raw)
     if "bands" in raw:
-        bands = tuple((float(lo), float(hi)) for lo, hi in raw["bands"])
+        bands = raw["bands"]
     else:
-        bands = uniform_bands(frame.nyquist_rate / 2.0, int(raw.get("band_count", 4)))
-    false_alarm = float(raw.get("false_alarm", 0.05))
-    trials = args.trials if args.trials is not None else int(raw.get("trials", 50))
-    seed = args.seed if args.seed is not None else int(raw.get("master_seed", 0))
+        bands = uniform_bands(frame.nyquist_rate / 2.0, raw.get("band_count", 4))
+    false_alarm = raw.get("false_alarm", 0.05)
+    trials = args.trials if args.trials is not None else raw.get("trials", 50)
+    seed = args.seed if args.seed is not None else raw.get("master_seed", 0)
     threshold = calibrate_lambda(frame, halting, bands, false_alarm, trials, seed)
     print(repr(float(threshold)))
     return 0

@@ -7,6 +7,13 @@ halts as soon as the validation criterion fires, banking the remaining
 steps for data transmission; if the budget runs out first the outcome
 carries a recommendation to raise the sampling rate next frame.
 
+Every step draws its matrices and noise from seeds of its own, so no step
+depends on another.  :func:`run_frame` therefore acquires and recovers only
+the steps where the halting rule can fire (enough testing rows for
+``min_testing``) and the last step of the budget: a closed step cannot halt
+the frame, so skipping it leaves the outcome unchanged.
+:func:`iter_frame_steps` still runs every step, for callers that read each.
+
 Spectral occupancy decisions come from per-band energy detection on the
 final estimate.
 """
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, ParameterError, require_finite
+from .errors import InvalidSpecError, ParameterError, require_finite, require_integer
 from .recovery import RecoveryResult, sasr
 from .rng import stream_seed
 from .sensing import RandomMatrixSpec, acquire, draw_matrix
@@ -31,7 +38,7 @@ from .signals import (
     signal_time_series,
     _integer_count,
 )
-from .validation import HaltingConfig
+from .validation import HaltingConfig, can_halt
 
 __all__ = [
     "FrameConfig",
@@ -69,6 +76,7 @@ class FrameConfig:
 
     def __post_init__(self) -> None:
         require_finite("frame", self.to_dict())
+        require_integer("frame", {"testing_per_step": self.testing_per_step})
         for name in ("frame_length", "min_transmission", "time_step",
                      "nyquist_rate", "sub_nyquist_rate"):
             if getattr(self, name) <= 0:
@@ -126,12 +134,15 @@ class DetectorConfig:
         require_finite("detector", {"threshold": self.threshold})
         if self.threshold <= 0:
             raise ParameterError("detection threshold must be positive")
-        if not self.bands:
-            raise ParameterError("detector needs at least one band")
+        if not isinstance(self.bands, (list, tuple)) or not self.bands:
+            raise ParameterError("detector needs a non-empty list of bands")
         clean = []
         for band in self.bands:
-            low, high = float(band[0]), float(band[1])
+            if not isinstance(band, (list, tuple)) or len(band) != 2:
+                raise ParameterError(f"band {band!r} is not a (low, high) pair")
+            low, high = band
             require_finite("detector band", {"low": low, "high": high})
+            low, high = float(low), float(high)
             if low < 0 or high <= low:
                 raise ParameterError(f"invalid band ({low}, {high})")
             clean.append((low, high))
@@ -144,8 +155,7 @@ class DetectorConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "DetectorConfig":
         _check_keys("detector", raw, {"bands", "threshold"})
-        return cls(bands=tuple(tuple(b) for b in raw["bands"]),
-                   threshold=raw["threshold"])
+        return cls(bands=raw["bands"], threshold=raw["threshold"])
 
 
 @dataclass(frozen=True)
@@ -223,6 +233,24 @@ def _check_spec(spec, frame: FrameConfig) -> None:
         raise InvalidSpecError(f"unsupported signal spec {type(spec).__name__}")
 
 
+def _frame_step(spec, frame: FrameConfig, halting: HaltingConfig,
+                master_seed: int, p: int):
+    """Acquire and recover step ``p``; return ``(measurements, recovery)``."""
+    v = frame.testing_per_step
+    ts = signal_time_series(spec, p * frame.time_step)
+    cols = p * frame.nyquist_per_step
+    phi = draw_matrix(RandomMatrixSpec(
+        rows=(frame.measurements_per_step - v) * p, cols=cols,
+        seed=stream_seed(master_seed, "phi", p)))
+    psi = draw_matrix(RandomMatrixSpec(
+        rows=v * p, cols=cols, seed=stream_seed(master_seed, "psi", p)))
+    delta = halting.noise_std if halting.mode == "noisy" else 0.0
+    ms = acquire(ts, phi, psi, noise_std=delta,
+                 noise_seed=stream_seed(master_seed, "noise", p),
+                 step_index=p)
+    return ms, sasr(ms, halting)
+
+
 def iter_frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
                      master_seed: int):
     """Yield ``(p, measurements, recovery)`` per step until halt or budget.
@@ -232,24 +260,8 @@ def iter_frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
     after the step whose recovery reports ``halted_by == "criterion"``.
     """
     _check_spec(spec, frame)
-    p_max = max_steps(frame)
-    n_step = frame.nyquist_per_step
-    m_step = frame.measurements_per_step
-    v = frame.testing_per_step
-    delta = halting.noise_std if halting.mode == "noisy" else 0.0
-    for p in range(1, p_max + 1):
-        ts = signal_time_series(spec, p * frame.time_step)
-        cols = p * n_step
-        r_p = (m_step - v) * p
-        v_p = v * p
-        phi = draw_matrix(RandomMatrixSpec(
-            rows=r_p, cols=cols, seed=stream_seed(master_seed, "phi", p)))
-        psi = draw_matrix(RandomMatrixSpec(
-            rows=v_p, cols=cols, seed=stream_seed(master_seed, "psi", p)))
-        ms = acquire(ts, phi, psi, noise_std=delta,
-                     noise_seed=stream_seed(master_seed, "noise", p),
-                     step_index=p)
-        recovery = sasr(ms, halting)
+    for p in range(1, max_steps(frame) + 1):
+        ms, recovery = _frame_step(spec, frame, halting, master_seed, p)
         yield p, ms, recovery
         if recovery.halted_by == "criterion":
             return
@@ -257,12 +269,23 @@ def iter_frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
 
 def run_frame(spec, frame: FrameConfig, halting: HaltingConfig,
               detector: DetectorConfig, master_seed: int) -> SensingOutcome:
-    """Run one complete sensing frame and decide band occupancy."""
-    p_final = 0
-    recovery: RecoveryResult | None = None
-    for p, _, rec in iter_frame_steps(spec, frame, halting, master_seed):
-        p_final, recovery = p, rec
-    assert recovery is not None
+    """Run one complete sensing frame and decide band occupancy.
+
+    The outcome is the one the last step of :func:`iter_frame_steps`
+    gives, but a step is acquired and recovered only where the halting
+    rule can fire (:func:`~widesense.validation.can_halt` on its
+    ``testing_per_step * p`` testing rows) or where the budget ends.  A
+    closed step cannot halt the frame, and no later step reads its draws,
+    so skipping it changes nothing; its slots still count as spent.
+    """
+    _check_spec(spec, frame)
+    p_max = max_steps(frame)
+    for p in range(1, p_max + 1):
+        if p < p_max and not can_halt(halting, frame.testing_per_step * p):
+            continue
+        _, recovery = _frame_step(spec, frame, halting, master_seed, p)
+        if recovery.halted_by == "criterion":
+            break
     halted = recovery.halted_by == "criterion"
     bins = recovery.estimate.bins
     estimate = Spectrum(bins=bins,
@@ -273,14 +296,13 @@ def run_frame(spec, frame: FrameConfig, halting: HaltingConfig,
                                          detector.threshold)
         decisions.append(BandDecision(low=low, high=high, energy=energy,
                                       decision=decision))
-    p_max = max_steps(frame)
     return SensingOutcome(
         halted=halted,
-        steps_used=p_final,
+        steps_used=p,
         estimate=estimate,
         recovery=recovery,
         per_band_decisions=tuple(decisions),
-        saved_slots=p_max - p_final,
+        saved_slots=p_max - p,
         recommend_rate_increase=not halted,
     )
 
@@ -317,6 +339,7 @@ def energy_detect(estimate: Spectrum, band, threshold: float):
 
 def uniform_bands(total_bandwidth: float, count: int):
     """``count`` equal-width contiguous bands covering [0, total_bandwidth]."""
+    require_integer("uniform bands", {"count": count})
     if total_bandwidth <= 0 or count < 1:
         raise ParameterError("need positive bandwidth and at least one band")
     edges = np.linspace(0.0, total_bandwidth, count + 1)
@@ -334,6 +357,8 @@ def calibrate_lambda(frame: FrameConfig, halting: HaltingConfig, bands,
     quantile lands there, half the smallest positive energy is returned so
     the threshold stays positive and still clears the observed noise floor.
     """
+    require_finite("calibration", {"false_alarm": false_alarm})
+    require_integer("calibration", {"trials": trials, "master_seed": master_seed})
     if not 0.0 < false_alarm < 1.0:
         raise ParameterError("false_alarm must lie in (0, 1)")
     if trials < 1:
@@ -343,7 +368,7 @@ def calibrate_lambda(frame: FrameConfig, halting: HaltingConfig, bands,
     spec = GridSpectrumSpec(reference_length=frame.nyquist_per_step,
                             nyquist_rate=frame.nyquist_rate, tones=())
     # Threshold value is irrelevant during calibration; reuse a dummy one.
-    detector = DetectorConfig(bands=tuple(bands), threshold=1.0)
+    detector = DetectorConfig(bands=bands, threshold=1.0)
     energies = []
     for t in range(trials):
         outcome = run_frame(spec, frame, halting, detector,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
-from .errors import InvalidSpecError, ParameterError
+from .errors import InvalidSpecError, ParameterError, require_finite
 from .recovery import FourierDictionary, omp, sasr
 from .rng import stream_seed
 from .sensing import acquire
@@ -163,6 +163,14 @@ class ExperimentConfig:
                 f"base keys {sorted(bad)} not valid for {self.name}; "
                 f"allowed: {sorted(_BASE_KEYS[self.name])}"
             )
+        # Every grid and base key is numeric; a null min_testing means unset.
+        numeric = [(f"grid {key}", v) for key, values in self.grid.items() for v in values]
+        numeric += [(f"base {key}", v) for key, v in self.base.items()
+                    if not (key == "min_testing" and v is None)]
+        for name, value in numeric:
+            if value is None:
+                raise InvalidSpecError(f"{self.name} {name} must be a real number, got None")
+            require_finite(self.name, {name: value})
 
     def digest(self) -> str:
         """12-hex-digit hash of the result-determining fields."""

@@ -39,7 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError, require_finite
+from .errors import (
+    CriterionUnsatisfiableWarning,
+    DimensionError,
+    ParameterError,
+    require_finite,
+    require_integer,
+)
 from .signals import Spectrum
 
 __all__ = [
@@ -52,6 +58,7 @@ __all__ = [
     "confidence_interval",
     "testing_size_noiseless",
     "noiseless_threshold",
+    "can_halt",
     "halting_rule",
     "testing_size_noisy",
     "confidence_floor_noisy",
@@ -95,6 +102,8 @@ class HaltingConfig:
         fields = self.to_dict()
         del fields["mode"]
         require_finite("halting", fields)
+        require_integer("halting", {"max_sparsity": self.max_sparsity,
+                                    "min_testing": self.min_testing})
         if self.max_sparsity < 1:
             raise ParameterError("max_sparsity must be >= 1")
         if self.jl_constant <= 0:
@@ -264,16 +273,25 @@ def noiseless_threshold(p: int, N: int, cfg: HaltingConfig, v_p: int | None = No
     return cfg.error_threshold * bracket * scale
 
 
+def can_halt(cfg: HaltingConfig, v_p: int) -> bool:
+    """Whether ``v_p`` testing rows are enough for the halting rule to fire.
+
+    A configured ``min_testing`` above ``v_p`` keeps the rule closed for
+    every rho; without one the rule is always open.
+    """
+    return cfg.min_testing is None or v_p >= cfg.min_testing
+
+
 def halting_rule(cfg: HaltingConfig, p: int, N: int, v_p: int):
     """Predicate on rho telling whether sensing halts at step ``p``.
 
-    The rule is fixed within a step, so it is resolved once: a configured
-    ``min_testing`` above ``v_p`` keeps it closed for every rho, the
-    noiseless mode compares rho with :func:`noiseless_threshold` (computed,
-    and warned about when unsatisfiable, here), and the noisy mode tests
-    whether rho sits within ``accuracy`` of the pure-noise mean.
+    The rule is fixed within a step, so it is resolved once: it stays
+    closed for every rho unless :func:`can_halt`, the noiseless mode
+    compares rho with :func:`noiseless_threshold` (computed, and warned
+    about when unsatisfiable, here), and the noisy mode tests whether rho
+    sits within ``accuracy`` of the pure-noise mean.
     """
-    if cfg.min_testing is not None and v_p < cfg.min_testing:
+    if not can_halt(cfg, v_p):
         return lambda rho: False
     if cfg.mode == "noiseless":
         threshold = noiseless_threshold(p, N, cfg, v_p)

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from widesense import engine
 from widesense.engine import (
     BandDecision,
     DetectorConfig,
     FrameConfig,
+    SensingOutcome,
     calibrate_lambda,
     energy_detect,
     iter_frame_steps,
@@ -68,6 +70,11 @@ class TestFrameConfig:
         with pytest.raises(ParameterError):
             _frame(testing_per_step=40)
 
+    @pytest.mark.parametrize("value", [10.5, 10.0, True, "10"])
+    def test_rejects_non_integer_testing_per_step(self, value):
+        with pytest.raises(ParameterError, match="testing_per_step must be"):
+            _frame(testing_per_step=value)
+
     def test_round_trip(self):
         frame = _frame()
         assert FrameConfig.from_dict(frame.to_dict()) == frame
@@ -104,6 +111,11 @@ class TestDetectorConfig:
             DetectorConfig(bands=((10.0, 5.0),), threshold=1.0)
         with pytest.raises(ParameterError):
             DetectorConfig(bands=((0.0, 10.0),), threshold=0.0)
+
+    @pytest.mark.parametrize("bands", [5, ((1.0,),), ((0.0, 1.0, 2.0),), ((0.0, "1e9"),)])
+    def test_rejects_malformed_bands(self, bands):
+        with pytest.raises(ParameterError):
+            DetectorConfig(bands=bands, threshold=1.0)
 
     def test_round_trip(self):
         det = DetectorConfig(bands=((0.0, 1e9), (1e9, 2.5e9)), threshold=2.0)
@@ -217,6 +229,39 @@ class TestRunFrame:
         assert sorted(payload["spectrum_support"]) == sorted(out.recovery.support)
         assert len(payload["spectrum_values"]) == len(payload["spectrum_support"])
         assert len(payload["decisions"]) == 4
+
+
+    @pytest.mark.parametrize("halting", [
+        _halting(),
+        _halting(min_testing=25),
+        _halting(min_testing=10_000),
+        HaltingConfig(mode="noisy", max_sparsity=16, noise_std=0.05, accuracy=0.02,
+                      min_testing=35),
+    ], ids=["no-gate", "gate-opens-mid-budget", "gate-never-opens", "noisy-gate"])
+    def test_recovers_only_where_the_gate_is_open(self, monkeypatch, halting):
+        frame, det = _frame(), DetectorConfig(uniform_bands(2.5e9, 4), 0.5)
+        p_final, _, reference = list(iter_frame_steps(FOUR_TONES, frame, halting, 7))[-1]
+        bins = reference.estimate.bins
+        estimate = Spectrum(bins=bins, bin_resolution=frame.nyquist_rate / len(bins))
+        decisions = tuple(BandDecision(lo, hi, *energy_detect(estimate, (lo, hi), 0.5))
+                          for lo, hi in det.bands)
+        halted = reference.halted_by == "criterion"
+        expected = SensingOutcome(halted, p_final, estimate, reference, decisions,
+                                  max_steps(frame) - p_final, not halted)
+
+        calls = []
+        original = engine.sasr
+
+        def counting_sasr(ms, cfg):
+            calls.append(ms.step_index)
+            return original(ms, cfg)
+
+        monkeypatch.setattr(engine, "sasr", counting_sasr)
+        out = run_frame(FOUR_TONES, frame, halting, det, 7)
+        assert out.to_json() == expected.to_json()
+        gate = halting.min_testing or 0
+        open_steps = [p for p in range(1, p_final + 1) if 10 * p >= gate]
+        assert calls == (open_steps or [p_final])
 
 
 class TestEnergyDetect:

@@ -80,6 +80,21 @@ class TestExperimentConfig:
         with pytest.raises(InvalidSpecError):
             ExperimentConfig(name="phase_transition", trials=1, base={"sigma": 2.0})
 
+    @pytest.mark.parametrize("grid, base", [
+        ({"sparsity": [2, "3"]}, {}),
+        ({"sparsity": [None]}, {}),
+        ({}, {"signal_length": "abc"}),
+        ({}, {"signal_length": None}),
+        ({}, {"signal_length": math.nan}),
+    ])
+    def test_rejects_non_numeric_values(self, grid, base):
+        with pytest.raises((InvalidSpecError, ParameterError)):
+            ExperimentConfig(name="phase_transition", trials=1, grid=grid, base=base)
+
+    def test_null_min_testing_means_unset(self):
+        cfg = ExperimentConfig(name="single_frame", trials=1, base={"min_testing": None})
+        assert cfg.base["min_testing"] is None
+
     def test_digest_tracks_result_fields_only(self):
         a = _coverage_cfg()
         assert a.digest() == _coverage_cfg().digest()
@@ -406,12 +421,20 @@ class TestCli:
         missing = self._write(tmp_path, {"frame": dict(DESK_FRAME, testing_per_step=10)}, "f.json")
         assert main(["frame", missing]) == 1
 
-    @pytest.mark.parametrize("section, edit, message", [
-        ("frame", lambda raw: raw.update(frame_length=math.nan), "frame_length must be finite"),
-        ("frame", lambda raw: raw.pop("testing_per_step"), "missing frame config keys"),
-        ("detector", lambda raw: raw.pop("bands"), "missing detector config keys"),
-    ], ids=["nan-frame-length", "no-testing-per-step", "no-detector-bands"])
-    def test_malformed_frame_sections_exit_one(self, tmp_path, capsys, section, edit, message):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["frame"].update(frame_length=math.nan), "frame_length must be finite"),
+        (lambda raw: raw["frame"].pop("testing_per_step"), "missing frame config keys"),
+        (lambda raw: raw["detector"].pop("bands"), "missing detector config keys"),
+        (lambda raw: raw["frame"].update(testing_per_step=10.5),
+         "testing_per_step must be an integer"),
+        (lambda raw: raw["halting"].update(max_sparsity=2.5), "max_sparsity must be an integer"),
+        (lambda raw: raw["halting"].update(min_testing="abc"), "min_testing must be a real number"),
+        (lambda raw: raw["detector"].update(bands=[[1.0]]), "is not a (low, high) pair"),
+        (lambda raw: raw.update(master_seed="x"), "master_seed must be an integer"),
+    ], ids=["nan-frame-length", "no-testing-per-step", "no-detector-bands",
+            "fractional-testing-per-step", "fractional-max-sparsity", "text-min-testing",
+            "one-edge-band", "text-master-seed"])
+    def test_malformed_frame_sections_exit_one(self, tmp_path, capsys, edit, message):
         payload = {
             "frame": dict(DESK_FRAME, testing_per_step=10),
             "halting": {"mode": "noiseless", "max_sparsity": 8,
@@ -419,9 +442,28 @@ class TestCli:
             "signal": {"reference_length": 200, "nyquist_hz": 5e9, "tones": [[12, 1.0, 0.0]]},
             "detector": {"bands": [[0.0, 1e9]], "threshold": 1.0},
         }
-        edit(payload[section])
+        edit(payload)
         assert main(["frame", self._write(tmp_path, payload)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(bands=[[0.0, 1e9], [1.0]]), "is not a (low, high) pair"),
+        (lambda raw: raw.update(false_alarm="x"), "false_alarm must be a real number"),
+    ], ids=["one-edge-band", "text-false-alarm"])
+    def test_malformed_calibration_exits_one(self, tmp_path, capsys, edit, message):
+        payload = {
+            "frame": dict(DESK_FRAME, testing_per_step=10),
+            "halting": {"mode": "noisy", "max_sparsity": 8, "noise_std": 0.5, "accuracy": 0.3},
+            "trials": 1,
+        }
+        edit(payload)
+        assert main(["calibrate-lambda", self._write(tmp_path, payload)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_non_numeric_base_value_exits_one(self, tmp_path, capsys):
+        payload = {"name": "phase_transition", "trials": 1, "base": {"signal_length": "abc"}}
+        assert main(["run", self._write(tmp_path, payload)]) == 1
+        assert "signal_length must be a real number" in capsys.readouterr().err
 
     def test_bad_invocations_exit_one(self, capsys):
         for argv in ([], ["nope"], ["run"]):

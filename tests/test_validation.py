@@ -10,6 +10,7 @@ from widesense.validation import (
     RAYLEIGH_MEAN_FACTOR,
     HaltingConfig,
     accuracy_from_confidence,
+    can_halt,
     confidence_floor_noisy,
     confidence_interval,
     empirical_interval_coverage,
@@ -85,6 +86,17 @@ class TestHaltingConfig:
     def test_rejects_non_finite_numbers(self, make, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             make(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_sparsity", 2.5, "must be an integer"),
+        ("max_sparsity", True, "must be a real number"),
+        ("min_testing", 40.0, "must be an integer"),
+        ("min_testing", "abc", "must be a real number"),
+        ("error_threshold", "1.0", "must be a real number"),
+    ])
+    def test_rejects_ill_typed_fields(self, field, value, message):
+        with pytest.raises(ParameterError, match=f"{field} {message}"):
+            _noiseless_cfg(**{field: value})
 
 
 class TestValidationParameter:
@@ -243,6 +255,12 @@ class TestHaltNoisy:
 def test_halting_rule_closed_below_min_testing(cfg):
     assert not halting_rule(cfg, 1, 200, 39)(0.0)
     assert halting_rule(cfg, 1, 200, 40)(0.0)
+
+
+def test_can_halt_gates_on_min_testing():
+    assert can_halt(_noiseless_cfg(), 1)
+    assert not can_halt(_noiseless_cfg(min_testing=40), 39)
+    assert can_halt(_noiseless_cfg(min_testing=40), 40)
 
 
 class TestEmpiricalCoverage:
