@@ -40,7 +40,6 @@ from .errors import (
 )
 from .experiments import (
     EXPERIMENT_NAMES,
-    EXPERIMENTS,
     ExperimentConfig,
     ResultTable,
     default_config,
@@ -113,7 +112,7 @@ __all__ = [
     "max_steps", "iter_frame_steps", "run_frame", "energy_detect",
     "calibrate_lambda", "uniform_bands",
     # experiments
-    "ExperimentConfig", "ResultTable", "EXPERIMENT_NAMES", "EXPERIMENTS",
+    "ExperimentConfig", "ResultTable", "EXPERIMENT_NAMES",
     "default_config", "load_config", "run_experiment",
     "significant_relative_mse",
     # infrastructure

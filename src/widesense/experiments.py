@@ -1,7 +1,7 @@
 """Config-driven Monte Carlo harness for the sensing laboratory.
 
 Seven registered experiments sweep a parameter grid, run seeded independent
-trials, and aggregate one :class:`ResultTable` row per grid cell:
+trials, and aggregate :class:`ResultTable` rows per grid cell:
 
 ``phase_transition``
     Fixed-k greedy recovery success over a (measurements, sparsity) grid.
@@ -19,6 +19,13 @@ trials, and aggregate one :class:`ResultTable` row per grid cell:
 ``single_frame``
     A handful of complete sensing frames with band decisions, one row each.
 
+Each experiment is one entry of the ``_EXPERIMENTS`` registry: its default
+trial count, its grid and base keys with their default values, the columns
+it adds, a trial function and a row aggregator.  One loop, ``_sweep``, runs
+every experiment.  A key's default also fixes its type: an integer default
+takes integers only, a ``None`` default an integer or null, and a float
+default any finite real, converted to float; every value must be >= 0.
+
 Every stochastic quantity derives from (master_seed, experiment, cell, trial)
 via :func:`widesense.rng.stream_seed`, trials are order-independent, and rows
 are emitted in canonical grid order, so a fixed config serializes to
@@ -29,16 +36,18 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
-from .errors import InvalidSpecError, ParameterError, require_finite
+from .errors import InvalidSpecError, ParameterError, require_finite, require_integer
 from .recovery import FourierDictionary, omp, sasr
 from .rng import stream_seed
 from .sensing import acquire
@@ -54,72 +63,16 @@ from .validation import (
 __all__ = [
     "SUCCESS_MSE",
     "EXPERIMENT_NAMES",
-    "EXPERIMENTS",
     "ExperimentConfig",
     "ResultTable",
     "default_config",
     "load_config",
     "run_experiment",
     "significant_relative_mse",
-    "run_phase_transition",
-    "run_interval_coverage",
-    "run_error_tracking",
-    "run_acss_vs_cs",
-    "run_halting_probability",
-    "run_sasr_vs_omp",
-    "run_single_frame",
 ]
 
 # A recovery counts as successful at relative squared error 1e-3 or better.
 SUCCESS_MSE = 1e-3
-
-EXPERIMENT_NAMES = (
-    "phase_transition",
-    "interval_coverage",
-    "error_tracking",
-    "acss_vs_cs",
-    "halting_probability",
-    "sasr_vs_omp",
-    "single_frame",
-)
-
-_GRID_KEYS = {
-    "phase_transition": {"measurements", "sparsity"},
-    "interval_coverage": {"confidence_factor", "testing_size"},
-    "error_tracking": {"testing_per_step"},
-    "acss_vs_cs": {"sub_nyquist_rate", "sparsity"},
-    "halting_probability": {"accuracy_factor", "testing_size"},
-    "sasr_vs_omp": {"sparsity", "noise_power"},
-    "single_frame": set(),
-}
-
-_BASE_KEYS = {
-    "phase_transition": {"signal_length"},
-    "interval_coverage": {"signal_length", "jl_constant"},
-    "error_tracking": {
-        "frame_length", "min_transmission", "time_step", "nyquist_rate",
-        "sub_nyquist_rate", "sparsity", "tone_groups", "amplitude_scale",
-        "background_level", "max_sparsity", "error_threshold",
-        "confidence_factor", "min_testing",
-    },
-    "acss_vs_cs": {
-        "frame_length", "min_transmission", "time_step", "nyquist_rate",
-        "testing_per_step", "max_sparsity", "error_threshold",
-        "confidence_factor",
-    },
-    "halting_probability": {"noise_std", "signal_length"},
-    "sasr_vs_omp": {
-        "signal_length", "training_size", "testing_size", "max_sparsity",
-        "accuracy_factor", "amplitude_scale",
-    },
-    "single_frame": {
-        "frame_length", "min_transmission", "time_step", "nyquist_rate",
-        "sub_nyquist_rate", "testing_per_step", "sparsity", "tone_groups",
-        "amplitude_scale", "background_level", "max_sparsity",
-        "error_threshold", "confidence_factor", "min_testing",
-        "band_count", "detection_threshold",
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -140,37 +93,30 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.name not in EXPERIMENT_NAMES:
-            raise InvalidSpecError(
-                f"unknown experiment {self.name!r}; expected one of {', '.join(EXPERIMENT_NAMES)}"
-            )
+        spec = _experiment(self.name)
+        counts = {"trials": self.trials, "master_seed": self.master_seed, "workers": self.workers}
+        for key, value in counts.items():
+            if value is None:
+                raise InvalidSpecError(f"{self.name} {key} must be an integer, got None")
+        require_integer(self.name, counts)
         if self.trials < 1:
             raise InvalidSpecError("trials must be >= 1")
         if self.workers < 1:
             raise InvalidSpecError("workers must be >= 1")
-        bad = set(self.grid) - _GRID_KEYS[self.name]
-        if bad:
-            raise InvalidSpecError(
-                f"grid keys {sorted(bad)} not valid for {self.name}; "
-                f"allowed: {sorted(_GRID_KEYS[self.name])}"
-            )
+        for kind, given, allowed in (("grid", self.grid, spec.grid), ("base", self.base, spec.base)):
+            bad = set(given) - set(allowed)
+            if bad:
+                raise InvalidSpecError(
+                    f"{kind} keys {sorted(bad)} not valid for {self.name}; "
+                    f"allowed: {sorted(allowed)}"
+                )
         for key, values in self.grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise InvalidSpecError(f"grid entry {key!r} must be a non-empty list")
-        bad = set(self.base) - _BASE_KEYS[self.name]
-        if bad:
-            raise InvalidSpecError(
-                f"base keys {sorted(bad)} not valid for {self.name}; "
-                f"allowed: {sorted(_BASE_KEYS[self.name])}"
-            )
-        # Every grid and base key is numeric; a null min_testing means unset.
-        numeric = [(f"grid {key}", v) for key, values in self.grid.items() for v in values]
-        numeric += [(f"base {key}", v) for key, v in self.base.items()
-                    if not (key == "min_testing" and v is None)]
-        for name, value in numeric:
-            if value is None:
-                raise InvalidSpecError(f"{self.name} {name} must be a real number, got None")
-            require_finite(self.name, {name: value})
+            for value in values:
+                _typed(self.name, f"grid {key}", value, spec.grid[key][0])
+        for key, value in self.base.items():
+            _typed(self.name, f"base {key}", value, spec.base[key])
 
     def digest(self) -> str:
         """12-hex-digit hash of the result-determining fields."""
@@ -209,15 +155,34 @@ class ExperimentConfig:
         try:
             return cls(
                 name=raw["name"],
-                trials=int(raw.get("trials", 1)),
+                trials=raw.get("trials", 1),
                 grid=dict(raw.get("grid", {})),
                 base=dict(raw.get("base", {})),
-                master_seed=int(raw.get("master_seed", 0)),
+                master_seed=raw.get("master_seed", 0),
                 output_path=raw.get("output_path"),
-                workers=int(raw.get("workers", 1)),
+                workers=raw.get("workers", 1),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpecError(f"malformed experiment config: {exc}") from exc
+
+
+def _typed(owner: str, key: str, value, default):
+    """``value`` checked and converted by the type of ``default``.
+
+    Every value is a finite real >= 0.  A float default converts the value
+    to float; an int default takes integers only; a None default takes an
+    integer or null.
+    """
+    if value is None and default is None:
+        return None
+    if value is None:
+        raise ParameterError(f"{owner} {key} must be a real number, got None")
+    require_finite(owner, {key: value})
+    if not isinstance(default, float):
+        require_integer(owner, {key: value})
+    if value < 0:
+        raise ParameterError(f"{owner} {key} must be >= 0, got {value!r}")
+    return float(value) if isinstance(default, float) else int(value)
 
 
 def read_json(path: str):
@@ -250,41 +215,6 @@ def write_atomic(path: str, text: str) -> None:
 def load_config(path: str) -> ExperimentConfig:
     """Read an :class:`ExperimentConfig` from a JSON file."""
     return ExperimentConfig.from_dict(read_json(path))
-
-
-_SCHEMAS = {
-    "phase_transition": (
-        "measurements", "sparsity", "success_rate", "mean_mse", "status",
-        "trials", "seed_base", "config_digest",
-    ),
-    "interval_coverage": (
-        "confidence_factor", "testing_size", "empirical_coverage",
-        "bound_value", "trials", "seed_base", "config_digest",
-    ),
-    "error_tracking": (
-        "testing_per_step", "step", "reached", "mean_scaled_rho", "mean_error",
-        "mean_interval_low", "mean_interval_high", "window_fraction",
-        "halted_fraction", "mean_p_final", "trials", "seed_base",
-        "config_digest",
-    ),
-    "acss_vs_cs": (
-        "sub_nyquist_rate", "sparsity", "success_rate",
-        "baseline_success_rate", "mean_p_final", "baseline_steps", "trials",
-        "seed_base", "config_digest",
-    ),
-    "halting_probability": (
-        "accuracy_factor", "testing_size", "noise_std", "halt_probability",
-        "bound_value", "trials", "seed_base", "config_digest",
-    ),
-    "sasr_vs_omp": (
-        "sparsity", "noise_power", "mean_mse", "baseline_mse",
-        "mean_iterations", "trials", "seed_base", "config_digest",
-    ),
-    "single_frame": (
-        "trial", "p_final", "halted", "saved_slots", "occupied_bands",
-        "mean_mse", "trials", "seed_base", "config_digest",
-    ),
-}
 
 
 def _fmt(value) -> str:
@@ -359,12 +289,13 @@ class ResultTable:
         write_atomic(path, self.to_csv_text() if fmt == "csv" else self.to_json_text())
 
 
-def _map_trials(fn, argses, workers: int) -> list:
-    if workers <= 1 or len(argses) <= 1:
-        return [fn(a) for a in argses]
-    chunk = max(1, len(argses) // (workers * 8))
+def _map_trials(fn, cell: dict, base: dict, seeds: list, workers: int) -> list:
+    if workers <= 1 or len(seeds) <= 1:
+        return [fn(cell, base, seed) for seed in seeds]
+    chunk = max(1, len(seeds) // (workers * 8))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, argses, chunksize=chunk))
+        return list(pool.map(fn, itertools.repeat(cell), itertools.repeat(base), seeds,
+                             chunksize=chunk))
 
 
 def significant_relative_mse(truth: np.ndarray, estimate: np.ndarray,
@@ -395,12 +326,23 @@ def _relative_sq_error(truth: np.ndarray, estimate: np.ndarray) -> float:
     return err / denom
 
 
+def _means(names: tuple, outcomes) -> dict:
+    """The mean of each position of the outcome tuples, keyed by ``names``."""
+    return {name: float(np.mean(column)) for name, column in zip(names, zip(*outcomes))}
+
+
+def _frame_config(base: dict, **overrides) -> FrameConfig:
+    """The frame layout of ``base``, with ``overrides`` for swept keys."""
+    params = {**base, **overrides}
+    return FrameConfig(**{key: params[key] for key in FrameConfig.__dataclass_fields__})
+
+
 # ---------------------------------------------------------------------------
 # phase transition
 
 
-def _phase_transition_trial(args):
-    m, k, n, seed = args
+def _phase_transition_trial(cell, base, seed):
+    m, k, n = cell["measurements"], cell["sparsity"], base["signal_length"]
     rng = np.random.default_rng(seed)
     spectrum = np.zeros(n, dtype=complex)
     if k:
@@ -413,137 +355,84 @@ def _phase_transition_trial(args):
     return rel <= SUCCESS_MSE, rel
 
 
-def run_phase_transition(cfg: ExperimentConfig) -> ResultTable:
-    """Success-rate grid of fixed-k pursuit under a Gaussian sensing matrix.
+def _phase_transition_rows(cell, base, run):
+    """Success rate of fixed-k pursuit under a Gaussian sensing matrix.
 
     Cells with more atoms than measurements cannot be refit and are marked
     ``not_applicable`` instead of being run.
     """
-    _expect(cfg, "phase_transition")
-    n = int(cfg.base.get("signal_length", 200))
-    m_list = [int(m) for m in cfg.grid.get("measurements", (20, 40, 66, 100, 140, 180))]
-    k_list = [int(k) for k in cfg.grid.get("sparsity", (0, 1, 2, 5, 10, 20, 40, 80, 120))]
-    digest = cfg.digest()
-    rows = []
-    for m in m_list:
-        for k in k_list:
-            seed_base = stream_seed(cfg.master_seed, cfg.name, f"{m}:{k}")
-            row = {
-                "measurements": m, "sparsity": k, "trials": cfg.trials,
-                "seed_base": seed_base, "config_digest": digest,
-            }
-            if k > m:
-                row.update(success_rate=None, mean_mse=None, status="not_applicable")
-            else:
-                tasks = [(m, k, n, stream_seed(seed_base, "trial", t)) for t in range(cfg.trials)]
-                outcomes = _map_trials(_phase_transition_trial, tasks, cfg.workers)
-                finite = [rel for _ok, rel in outcomes if math.isfinite(rel)]
-                row.update(
-                    success_rate=float(np.mean([ok for ok, _rel in outcomes])),
-                    mean_mse=float(np.mean(finite)) if finite else None,
-                    status="ok",
-                )
-            rows.append(row)
-    return ResultTable(cfg.name, _SCHEMAS[cfg.name], tuple(rows))
+    if cell["sparsity"] > cell["measurements"]:
+        return [{"success_rate": None, "mean_mse": None, "status": "not_applicable"}]
+    outcomes = run()
+    finite = [rel for _ok, rel in outcomes if math.isfinite(rel)]
+    return [{
+        "success_rate": float(np.mean([ok for ok, _rel in outcomes])),
+        "mean_mse": float(np.mean(finite)) if finite else None,
+        "status": "ok",
+    }]
 
 
 # ---------------------------------------------------------------------------
 # interval coverage
 
 
-def _coverage_trial(args):
-    eta, v, n, jl_c, seed = args
+def _coverage_trial(cell, base, seed):
+    eta, v, n = cell["confidence_factor"], cell["testing_size"], base["signal_length"]
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     psi = rng.standard_normal((v, n))
     rho = float(np.abs(psi @ direction).mean())
-    report = confidence_interval(rho, 1, n, eta, v, jl_c)
+    report = confidence_interval(rho, 1, n, eta, v, base["jl_constant"])
     true_error = math.sqrt(n)  # unit time-domain direction
     return report.interval_low <= true_error <= report.interval_high
 
 
-def run_interval_coverage(cfg: ExperimentConfig) -> ResultTable:
+def _coverage_rows(cell, base, run):
     """Empirical probability that the error interval covers the true error."""
-    _expect(cfg, "interval_coverage")
-    n = int(cfg.base.get("signal_length", 200))
-    jl_c = float(cfg.base.get("jl_constant", 1.0))
-    etas = [float(e) for e in cfg.grid.get("confidence_factor", (0.2, 0.3, 0.4))]
-    v_list = [int(v) for v in cfg.grid.get("testing_size", (20, 40, 60, 80))]
-    digest = cfg.digest()
-    rows = []
-    for eta in etas:
-        for v in v_list:
-            seed_base = stream_seed(cfg.master_seed, cfg.name, f"{eta}:{v}")
-            tasks = [(eta, v, n, jl_c, stream_seed(seed_base, "trial", t)) for t in range(cfg.trials)]
-            hits = _map_trials(_coverage_trial, tasks, cfg.workers)
-            floor = 1.0 - 4.0 * math.exp(-v * eta * eta / jl_c)
-            rows.append({
-                "confidence_factor": eta, "testing_size": v,
-                "empirical_coverage": float(np.mean(hits)),
-                "bound_value": max(floor, 0.0),
-                "trials": cfg.trials, "seed_base": seed_base,
-                "config_digest": digest,
-            })
-    return ResultTable(cfg.name, _SCHEMAS[cfg.name], tuple(rows))
+    hits = run()
+    eta, v = cell["confidence_factor"], cell["testing_size"]
+    floor = 1.0 - 4.0 * math.exp(-v * eta * eta / base["jl_constant"])
+    return [{"empirical_coverage": float(np.mean(hits)), "bound_value": max(floor, 0.0)}]
 
 
 # ---------------------------------------------------------------------------
 # error tracking
 
 
-_TRACKING_BASE = {
-    "frame_length": 4e-6,
-    "min_transmission": 2.4e-6,
-    "time_step": 0.2e-6,
-    "nyquist_rate": 5e9,
-    "sub_nyquist_rate": 1e9,
-    "sparsity": 32,
-    "tone_groups": 8,
-    "amplitude_scale": 0.08,
-    "background_level": 1e-4,
-    "max_sparsity": 80,
-    "error_threshold": 1.0,
-    "confidence_factor": 0.2,
-}
+def _frame_spectrum(base: dict, seed: int) -> GridSpectrumSpec:
+    """The random grouped-tone spectrum of one frame-scale trial."""
+    return random_grid_spectrum(
+        np.random.default_rng(seed),
+        reference_length=int(round(base["nyquist_rate"] * base["time_step"])),
+        nyquist_rate=base["nyquist_rate"],
+        sparsity=base["sparsity"],
+        n_groups=base["tone_groups"],
+        amplitude_scale=base["amplitude_scale"],
+        background_level=base["background_level"],
+    )
 
 
 def _tracking_halting(base: dict) -> HaltingConfig:
-    min_testing = base.get("min_testing")
+    min_testing = base["min_testing"]
     if min_testing is None:
         # trust validation only once it carries interval confidence 99.5%
-        min_testing = testing_size_noiseless(float(base["confidence_factor"]), 0.005)
+        min_testing = testing_size_noiseless(base["confidence_factor"], 0.005)
     return HaltingConfig(
         mode="noiseless",
-        max_sparsity=int(base["max_sparsity"]),
-        error_threshold=float(base["error_threshold"]),
-        confidence_factor=float(base["confidence_factor"]),
-        min_testing=int(min_testing),
+        max_sparsity=base["max_sparsity"],
+        error_threshold=base["error_threshold"],
+        confidence_factor=base["confidence_factor"],
+        min_testing=min_testing,
     )
 
 
-def _tracking_trial(args):
-    v, seed, base = args
-    rng = np.random.default_rng(seed)
-    spec = random_grid_spectrum(
-        rng,
-        reference_length=int(round(base["nyquist_rate"] * base["time_step"])),
-        nyquist_rate=base["nyquist_rate"],
-        sparsity=int(base["sparsity"]),
-        n_groups=int(base["tone_groups"]),
-        amplitude_scale=float(base["amplitude_scale"]),
-        background_level=float(base["background_level"]),
-    )
-    frame = FrameConfig(
-        frame_length=base["frame_length"],
-        min_transmission=base["min_transmission"],
-        time_step=base["time_step"],
-        nyquist_rate=base["nyquist_rate"],
-        sub_nyquist_rate=base["sub_nyquist_rate"],
-        testing_per_step=v,
-    )
+def _tracking_trial(cell, base, seed):
+    v = cell["testing_per_step"]
+    spec = _frame_spectrum(base, seed)
+    frame = _frame_config(base, testing_per_step=v)
     halting = _tracking_halting(base)
-    eta = float(base["confidence_factor"])
+    eta = base["confidence_factor"]
     records = []
     p_final = 0
     for p, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
@@ -561,86 +450,44 @@ def _tracking_trial(args):
     return records, p_final
 
 
-def run_error_tracking(cfg: ExperimentConfig) -> ResultTable:
+def _tracking_rows(cell, base, run):
     """Track the scaled validation parameter against the true spectral error.
 
-    One row per (testing_per_step, step) aggregates every trial that reached
-    that step; ``halted_fraction`` flags where the criterion first fires and
+    One row per step aggregates every trial that reached that step;
+    ``halted_fraction`` flags where the criterion first fires and
     ``window_fraction`` measures how often the scaled parameter sits within
     the two-sided confidence bracket of the true error.
     """
-    _expect(cfg, "error_tracking")
-    base = dict(_TRACKING_BASE)
-    base.update(cfg.base)
-    v_list = [int(v) for v in cfg.grid.get("testing_per_step", (40, 60))]
-    digest = cfg.digest()
-    rows = []
-    for v in v_list:
-        seed_base = stream_seed(cfg.master_seed, cfg.name, f"v{v}")
-        tasks = [(v, stream_seed(seed_base, "trial", t), base) for t in range(cfg.trials)]
-        outcomes = _map_trials(_tracking_trial, tasks, cfg.workers)
-        mean_p_final = float(np.mean([p_final for _records, p_final in outcomes]))
-        by_step: dict[int, list] = {}
-        for records, _p_final in outcomes:
-            for rec in records:
-                by_step.setdefault(rec[0], []).append(rec)
-        for p in sorted(by_step):
-            recs = by_step[p]
-            rows.append({
-                "testing_per_step": v,
-                "step": p,
-                "reached": len(recs),
-                "mean_scaled_rho": float(np.mean([r[1] for r in recs])),
-                "mean_error": float(np.mean([r[2] for r in recs])),
-                "mean_interval_low": float(np.mean([r[3] for r in recs])),
-                "mean_interval_high": float(np.mean([r[4] for r in recs])),
-                "window_fraction": float(np.mean([r[5] for r in recs])),
-                "halted_fraction": float(np.mean([r[6] for r in recs])),
-                "mean_p_final": mean_p_final,
-                "trials": cfg.trials,
-                "seed_base": seed_base,
-                "config_digest": digest,
-            })
-    return ResultTable(cfg.name, _SCHEMAS[cfg.name], tuple(rows))
+    outcomes = run()
+    mean_p_final = float(np.mean([p_final for _records, p_final in outcomes]))
+    by_step: dict[int, list] = {}
+    for records, _p_final in outcomes:
+        for p, *rec in records:
+            by_step.setdefault(p, []).append(rec)
+    names = ("mean_scaled_rho", "mean_error", "mean_interval_low", "mean_interval_high",
+             "window_fraction", "halted_fraction")
+    return [dict(_means(names, recs), step=p, reached=len(recs), mean_p_final=mean_p_final)
+            for p, recs in sorted(by_step.items())]
 
 
 # ---------------------------------------------------------------------------
 # adaptive sequential sensing vs fixed-budget baseline
 
 
-_ACSS_BASE = {
-    "frame_length": 0.8e-6,
-    "min_transmission": 0.48e-6,
-    "time_step": 0.04e-6,
-    "nyquist_rate": 5e9,
-    "testing_per_step": 10,
-    "max_sparsity": 48,
-    "error_threshold": 1.0,
-    "confidence_factor": 0.2,
-}
-
-
-def _acss_trial(args):
-    f_s, k, seed, base = args
+def _acss_trial(cell, base, seed):
+    f_s, k = cell["sub_nyquist_rate"], cell["sparsity"]
     rng = np.random.default_rng(seed)
     n_ref = int(round(base["nyquist_rate"] * base["time_step"]))
     if k:
         spec = random_grid_spectrum(rng, n_ref, base["nyquist_rate"], k, max(1, k // 4))
     else:
         spec = GridSpectrumSpec(n_ref, base["nyquist_rate"], ())
-    frame = FrameConfig(
-        frame_length=base["frame_length"],
-        min_transmission=base["min_transmission"],
-        time_step=base["time_step"],
-        nyquist_rate=base["nyquist_rate"],
-        sub_nyquist_rate=f_s,
-        testing_per_step=int(base["testing_per_step"]),
-    )
+    frame = _frame_config(base, sub_nyquist_rate=f_s)
     halting = HaltingConfig(
         mode="noiseless",
-        max_sparsity=int(base["max_sparsity"]),
-        error_threshold=float(base["error_threshold"]),
-        confidence_factor=float(base["confidence_factor"]),
+        max_sparsity=base["max_sparsity"],
+        error_threshold=base["error_threshold"],
+        confidence_factor=base["confidence_factor"],
     )
     budget = max_steps(frame)
     adaptive_ok, p_used = False, budget
@@ -653,70 +500,41 @@ def _acss_trial(args):
     rng_cs = np.random.default_rng(stream_seed(seed, "baseline"))
     phi = rng_cs.standard_normal((frame.measurements_per_step * budget, n_ref * budget))
     x = signal_time_series(spec, budget * frame.time_step).samples
-    baseline = omp(phi @ x, FourierDictionary(phi), int(base["max_sparsity"]))
+    baseline = omp(phi @ x, FourierDictionary(phi), base["max_sparsity"])
     truth = np.fft.fft(x)
     baseline_ok = _relative_sq_error(truth, baseline.estimate.bins) <= SUCCESS_MSE
     return adaptive_ok, baseline_ok, p_used
 
 
-def run_acss_vs_cs(cfg: ExperimentConfig) -> ResultTable:
+def _acss_rows(cell, base, run):
     """Adaptive sequential sensing vs one fixed full-budget acquisition.
 
     The baseline spends the entire step budget up front (its step count is
     recorded per row), so the adaptive arm's gain shows up as matching
     success with a smaller ``mean_p_final``.
     """
-    _expect(cfg, "acss_vs_cs")
-    base = dict(_ACSS_BASE)
-    base.update(cfg.base)
-    rates = [float(r) for r in cfg.grid.get("sub_nyquist_rate", (750e6, 1e9))]
-    k_list = [int(k) for k in cfg.grid.get("sparsity", (0, 8, 16, 24, 32, 40))]
-    digest = cfg.digest()
-    rows = []
-    for f_s in rates:
-        for k in k_list:
-            seed_base = stream_seed(cfg.master_seed, cfg.name, f"{f_s}:{k}")
-            tasks = [(f_s, k, stream_seed(seed_base, "trial", t), base) for t in range(cfg.trials)]
-            outcomes = _map_trials(_acss_trial, tasks, cfg.workers)
-            frame = FrameConfig(
-                frame_length=base["frame_length"],
-                min_transmission=base["min_transmission"],
-                time_step=base["time_step"],
-                nyquist_rate=base["nyquist_rate"],
-                sub_nyquist_rate=f_s,
-                testing_per_step=int(base["testing_per_step"]),
-            )
-            rows.append({
-                "sub_nyquist_rate": f_s,
-                "sparsity": k,
-                "success_rate": float(np.mean([a for a, _c, _p in outcomes])),
-                "baseline_success_rate": float(np.mean([c for _a, c, _p in outcomes])),
-                "mean_p_final": float(np.mean([p for _a, _c, p in outcomes])),
-                "baseline_steps": max_steps(frame),
-                "trials": cfg.trials,
-                "seed_base": seed_base,
-                "config_digest": digest,
-            })
-    return ResultTable(cfg.name, _SCHEMAS[cfg.name], tuple(rows))
+    row = _means(("success_rate", "baseline_success_rate", "mean_p_final"), run())
+    row["baseline_steps"] = max_steps(_frame_config(base, sub_nyquist_rate=cell["sub_nyquist_rate"]))
+    return [row]
 
 
 # ---------------------------------------------------------------------------
 # halting probability
 
 
-def _halting_trial(args):
-    theta_factor, v, delta, seed = args
+def _halting_trial(cell, base, seed):
+    v, delta = cell["testing_size"], base["noise_std"]
     # With an exact estimate the testing residual is the receiver noise
     # alone; draw it as acquire does for one training row and v testing rows.
     rng = np.random.default_rng(stream_seed(seed, "noise"))
     rng.standard_normal(2)
     noise = delta * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
     halting = HaltingConfig(mode="noisy", max_sparsity=1, noise_std=delta,
-                            accuracy=theta_factor * delta)
+                            accuracy=cell["accuracy_factor"] * delta)
     return halting_rule(halting, 1, 1, v)(float(np.abs(noise).sum() / v))
 
 
-def run_halting_probability(cfg: ExperimentConfig) -> ResultTable:
+def _halting_rows(cell, base, run):
     """Firing frequency of the noisy criterion when the estimate is exact.
 
     With the true spectrum substituted for the estimate the testing residual
@@ -725,69 +543,43 @@ def run_halting_probability(cfg: ExperimentConfig) -> ResultTable:
     exactly, so the ``signal_length`` base key is accepted but does not
     affect the result.
     """
-    _expect(cfg, "halting_probability")
-    delta = float(cfg.base.get("noise_std", 1.0))
-    factors = [float(f) for f in cfg.grid.get("accuracy_factor", (0.6, 0.65, 0.7))]
-    v_list = [int(v) for v in cfg.grid.get("testing_size", tuple(range(10, 101, 10)))]
-    digest = cfg.digest()
-    rows = []
-    for factor in factors:
-        for v in v_list:
-            seed_base = stream_seed(cfg.master_seed, cfg.name, f"{factor}:{v}")
-            tasks = [(factor, v, delta, stream_seed(seed_base, "trial", t))
-                     for t in range(cfg.trials)]
-            hits = _map_trials(_halting_trial, tasks, cfg.workers)
-            rows.append({
-                "accuracy_factor": factor,
-                "testing_size": v,
-                "noise_std": delta,
-                "halt_probability": float(np.mean(hits)),
-                "bound_value": confidence_floor_noisy(v, factor * delta, delta),
-                "trials": cfg.trials,
-                "seed_base": seed_base,
-                "config_digest": digest,
-            })
-    return ResultTable(cfg.name, _SCHEMAS[cfg.name], tuple(rows))
+    delta = base["noise_std"]
+    return [{
+        "noise_std": delta,
+        "halt_probability": float(np.mean(run())),
+        "bound_value": confidence_floor_noisy(
+            cell["testing_size"], cell["accuracy_factor"] * delta, delta),
+    }]
 
 
 # ---------------------------------------------------------------------------
 # validation-halted recovery vs exhaustive pursuit
 
 
-_SASR_BASE = {
-    "signal_length": 1000,
-    "training_size": 160,
-    "testing_size": 40,
-    "max_sparsity": 80,
-    "accuracy_factor": 0.6,
-    "amplitude_scale": 0.08,
-}
-
-
-def _sasr_trial(args):
-    k, noise_power, seed, base = args
+def _sasr_trial(cell, base, seed):
+    k, noise_power = cell["sparsity"], cell["noise_power"]
     delta = math.sqrt(noise_power)
-    n = int(base["signal_length"])
+    n = base["signal_length"]
     rng = np.random.default_rng(seed)
     spec = random_grid_spectrum(
         rng, n, float(n), k, max(1, k // 4),
         noise_power=noise_power,
-        amplitude_scale=float(base["amplitude_scale"]),
+        amplitude_scale=base["amplitude_scale"],
     )
     x = signal_time_series(spec, 1.0)
     truth = np.fft.fft(x.samples)
-    phi = rng.standard_normal((int(base["training_size"]), n))
-    psi = rng.standard_normal((int(base["testing_size"]), n))
+    phi = rng.standard_normal((base["training_size"], n))
+    psi = rng.standard_normal((base["testing_size"], n))
     measurements = acquire(x, phi, psi, noise_std=delta,
                            noise_seed=stream_seed(seed, "noise"))
     halting = HaltingConfig(
         mode="noisy",
-        max_sparsity=int(base["max_sparsity"]),
+        max_sparsity=base["max_sparsity"],
         noise_std=delta,
-        accuracy=float(base["accuracy_factor"]) * delta,
+        accuracy=base["accuracy_factor"] * delta,
     )
     adaptive = sasr(measurements, halting)
-    exhaustive = omp(measurements.training, FourierDictionary(phi), int(base["max_sparsity"]))
+    exhaustive = omp(measurements.training, FourierDictionary(phi), base["max_sparsity"])
     return (
         significant_relative_mse(truth, adaptive.estimate.bins),
         significant_relative_mse(truth, exhaustive.estimate.bins),
@@ -795,75 +587,30 @@ def _sasr_trial(args):
     )
 
 
-def run_sasr_vs_omp(cfg: ExperimentConfig) -> ResultTable:
+def _sasr_rows(cell, base, run):
     """Sparsity-blind halted recovery vs pursuit forced to the iteration cap.
 
     The noisy halting rule stops near the true occupied-bin count, while the
     baseline runs all ``max_sparsity`` iterations and overfits measurement
     noise; the per-bin relative MSE over significant bins quantifies both.
     """
-    _expect(cfg, "sasr_vs_omp")
-    base = dict(_SASR_BASE)
-    base.update(cfg.base)
-    k_list = [int(k) for k in cfg.grid.get("sparsity", (16, 32, 48))]
-    powers = [float(w) for w in cfg.grid.get("noise_power", (1.0, 4.0))]
-    digest = cfg.digest()
-    rows = []
-    for k in k_list:
-        for power in powers:
-            seed_base = stream_seed(cfg.master_seed, cfg.name, f"{k}:{power}")
-            tasks = [(k, power, stream_seed(seed_base, "trial", t), base)
-                     for t in range(cfg.trials)]
-            outcomes = _map_trials(_sasr_trial, tasks, cfg.workers)
-            rows.append({
-                "sparsity": k,
-                "noise_power": power,
-                "mean_mse": float(np.mean([a for a, _b, _i in outcomes])),
-                "baseline_mse": float(np.mean([b for _a, b, _i in outcomes])),
-                "mean_iterations": float(np.mean([i for _a, _b, i in outcomes])),
-                "trials": cfg.trials,
-                "seed_base": seed_base,
-                "config_digest": digest,
-            })
-    return ResultTable(cfg.name, _SCHEMAS[cfg.name], tuple(rows))
+    return [_means(("mean_mse", "baseline_mse", "mean_iterations"), run())]
 
 
 # ---------------------------------------------------------------------------
 # single frame
 
 
-_FRAME_BASE = dict(_TRACKING_BASE, testing_per_step=60, band_count=4,
-                   detection_threshold=10.0)
-
-
-def _frame_trial(args):
-    trial, seed, base = args
-    rng = np.random.default_rng(seed)
-    n_ref = int(round(base["nyquist_rate"] * base["time_step"]))
-    spec = random_grid_spectrum(
-        rng, n_ref, base["nyquist_rate"],
-        sparsity=int(base["sparsity"]),
-        n_groups=int(base["tone_groups"]),
-        amplitude_scale=float(base["amplitude_scale"]),
-        background_level=float(base["background_level"]),
-    )
-    frame = FrameConfig(
-        frame_length=base["frame_length"],
-        min_transmission=base["min_transmission"],
-        time_step=base["time_step"],
-        nyquist_rate=base["nyquist_rate"],
-        sub_nyquist_rate=base["sub_nyquist_rate"],
-        testing_per_step=int(base["testing_per_step"]),
-    )
-    halting = _tracking_halting(base)
+def _frame_trial(cell, base, seed):
+    spec = _frame_spectrum(base, seed)
+    frame = _frame_config(base)
     detector = DetectorConfig(
-        bands=uniform_bands(base["nyquist_rate"] / 2.0, int(base["band_count"])),
-        threshold=float(base["detection_threshold"]),
+        bands=uniform_bands(base["nyquist_rate"] / 2.0, base["band_count"]),
+        threshold=base["detection_threshold"],
     )
-    outcome = run_frame(spec, frame, halting, detector, seed)
+    outcome = run_frame(spec, frame, _tracking_halting(base), detector, seed)
     truth = np.fft.fft(signal_time_series(spec, outcome.steps_used * frame.time_step).samples)
     return {
-        "trial": trial,
         "p_final": outcome.steps_used,
         "halted": int(outcome.halted),
         "saved_slots": outcome.saved_slots,
@@ -872,68 +619,171 @@ def _frame_trial(args):
     }
 
 
-def run_single_frame(cfg: ExperimentConfig) -> ResultTable:
-    """Run complete sensing frames end to end, one table row per frame."""
-    _expect(cfg, "single_frame")
-    base = dict(_FRAME_BASE)
-    base.update(cfg.base)
-    seed_base = stream_seed(cfg.master_seed, cfg.name)
-    tasks = [(t, stream_seed(seed_base, "trial", t), base) for t in range(cfg.trials)]
-    outcomes = _map_trials(_frame_trial, tasks, cfg.workers)
-    digest = cfg.digest()
-    rows = []
-    for data in outcomes:
-        row = dict(data)
-        row.update(trials=cfg.trials, seed_base=seed_base, config_digest=digest)
-        rows.append(row)
-    return ResultTable(cfg.name, _SCHEMAS[cfg.name], tuple(rows))
+def _frame_rows(cell, base, run):
+    """Complete sensing frames end to end, one row per frame."""
+    return [dict(outcome, trial=t) for t, outcome in enumerate(run())]
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-EXPERIMENTS = {
-    "phase_transition": run_phase_transition,
-    "interval_coverage": run_interval_coverage,
-    "error_tracking": run_error_tracking,
-    "acss_vs_cs": run_acss_vs_cs,
-    "halting_probability": run_halting_probability,
-    "sasr_vs_omp": run_sasr_vs_omp,
-    "single_frame": run_single_frame,
+@dataclass(frozen=True)
+class _Experiment:
+    """What :func:`_sweep` needs to run one experiment.
+
+    ``grid`` maps each grid key, outermost first, to its default values and
+    ``base`` maps each base key to its default; the defaults also fix each
+    key's type (see :func:`_typed`).  ``trial(cell, base, seed)`` runs one
+    trial; ``rows(cell, base, run)`` turns one cell into rows of ``columns``,
+    calling ``run()`` for the list of trial outcomes.  ``label`` formats the
+    cell into its seed label; ``None`` seeds the experiment without one.
+    """
+
+    trials: int
+    grid: dict
+    base: dict
+    columns: tuple
+    trial: Callable
+    rows: Callable
+    label: str | None
+
+
+# The frame scale of error_tracking, which single_frame extends.
+_FRAME_BASE = {
+    "frame_length": 4e-6,
+    "min_transmission": 2.4e-6,
+    "time_step": 0.2e-6,
+    "nyquist_rate": 5e9,
+    "sub_nyquist_rate": 1e9,
+    "sparsity": 32,
+    "tone_groups": 8,
+    "amplitude_scale": 0.08,
+    "background_level": 1e-4,
+    "max_sparsity": 80,
+    "error_threshold": 1.0,
+    "confidence_factor": 0.2,
+    "min_testing": None,
 }
 
-_DEFAULT_TRIALS = {
-    "phase_transition": 500,
-    "interval_coverage": 500,
-    "error_tracking": 30,
-    "acss_vs_cs": 40,
-    "halting_probability": 2000,
-    "sasr_vs_omp": 200,
-    "single_frame": 5,
+_EXPERIMENTS = {
+    "phase_transition": _Experiment(
+        trials=500,
+        grid={"measurements": (20, 40, 66, 100, 140, 180),
+              "sparsity": (0, 1, 2, 5, 10, 20, 40, 80, 120)},
+        base={"signal_length": 200},
+        columns=("success_rate", "mean_mse", "status"),
+        trial=_phase_transition_trial,
+        rows=_phase_transition_rows,
+        label="{measurements}:{sparsity}",
+    ),
+    "interval_coverage": _Experiment(
+        trials=500,
+        grid={"confidence_factor": (0.2, 0.3, 0.4), "testing_size": (20, 40, 60, 80)},
+        base={"signal_length": 200, "jl_constant": 1.0},
+        columns=("empirical_coverage", "bound_value"),
+        trial=_coverage_trial,
+        rows=_coverage_rows,
+        label="{confidence_factor}:{testing_size}",
+    ),
+    "error_tracking": _Experiment(
+        trials=30,
+        grid={"testing_per_step": (40, 60)},
+        base=_FRAME_BASE,
+        columns=("step", "reached", "mean_scaled_rho", "mean_error", "mean_interval_low",
+                 "mean_interval_high", "window_fraction", "halted_fraction", "mean_p_final"),
+        trial=_tracking_trial,
+        rows=_tracking_rows,
+        label="v{testing_per_step}",
+    ),
+    "acss_vs_cs": _Experiment(
+        trials=40,
+        grid={"sub_nyquist_rate": (750e6, 1e9), "sparsity": (0, 8, 16, 24, 32, 40)},
+        base={"frame_length": 0.8e-6, "min_transmission": 0.48e-6, "time_step": 0.04e-6,
+              "nyquist_rate": 5e9, "testing_per_step": 10, "max_sparsity": 48,
+              "error_threshold": 1.0, "confidence_factor": 0.2},
+        columns=("success_rate", "baseline_success_rate", "mean_p_final", "baseline_steps"),
+        trial=_acss_trial,
+        rows=_acss_rows,
+        label="{sub_nyquist_rate}:{sparsity}",
+    ),
+    "halting_probability": _Experiment(
+        trials=2000,
+        grid={"accuracy_factor": (0.6, 0.65, 0.7), "testing_size": tuple(range(10, 101, 10))},
+        base={"noise_std": 1.0, "signal_length": 200},
+        columns=("noise_std", "halt_probability", "bound_value"),
+        trial=_halting_trial,
+        rows=_halting_rows,
+        label="{accuracy_factor}:{testing_size}",
+    ),
+    "sasr_vs_omp": _Experiment(
+        trials=200,
+        grid={"sparsity": (16, 32, 48), "noise_power": (1.0, 4.0)},
+        base={"signal_length": 1000, "training_size": 160, "testing_size": 40,
+              "max_sparsity": 80, "accuracy_factor": 0.6, "amplitude_scale": 0.08},
+        columns=("mean_mse", "baseline_mse", "mean_iterations"),
+        trial=_sasr_trial,
+        rows=_sasr_rows,
+        label="{sparsity}:{noise_power}",
+    ),
+    "single_frame": _Experiment(
+        trials=5,
+        grid={},
+        base=dict(_FRAME_BASE, testing_per_step=60, band_count=4, detection_threshold=10.0),
+        columns=("trial", "p_final", "halted", "saved_slots", "occupied_bands", "mean_mse"),
+        trial=_frame_trial,
+        rows=_frame_rows,
+        label=None,
+    ),
 }
 
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
-def default_config(name: str, **overrides) -> ExperimentConfig:
-    """Desk-scale defaults for the named experiment."""
+
+def _experiment(name: str) -> _Experiment:
     if name not in EXPERIMENT_NAMES:
         raise InvalidSpecError(
             f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENT_NAMES)}"
         )
-    fields = {"name": name, "trials": _DEFAULT_TRIALS[name], "master_seed": 20240001}
+    return _EXPERIMENTS[name]
+
+
+def _sweep(cfg: ExperimentConfig) -> ResultTable:
+    """Run every cell of ``cfg``'s grid, outermost key first."""
+    spec = _EXPERIMENTS[cfg.name]
+    base = {key: _typed(cfg.name, f"base {key}", cfg.base.get(key, default), default)
+            for key, default in spec.base.items()}
+    axes = [[(key, _typed(cfg.name, f"grid {key}", value, defaults[0]))
+             for value in cfg.grid.get(key, defaults)]
+            for key, defaults in spec.grid.items()]
+    digest = cfg.digest()
+    rows = []
+    for cell in map(dict, itertools.product(*axes)):
+        label = () if spec.label is None else (spec.label.format(**cell),)
+        seed_base = stream_seed(cfg.master_seed, cfg.name, *label)
+
+        def run():
+            seeds = [stream_seed(seed_base, "trial", t) for t in range(cfg.trials)]
+            return _map_trials(spec.trial, cell, base, seeds, cfg.workers)
+
+        for row in spec.rows(cell, base, run):
+            rows.append({**cell, **row, "trials": cfg.trials, "seed_base": seed_base,
+                         "config_digest": digest})
+    schema = (*spec.grid, *spec.columns, "trials", "seed_base", "config_digest")
+    return ResultTable(cfg.name, schema, tuple(rows))
+
+
+def default_config(name: str, **overrides) -> ExperimentConfig:
+    """Desk-scale defaults for the named experiment."""
+    fields = {"name": name, "trials": _experiment(name).trials, "master_seed": 20240001}
     fields.update(overrides)
     return ExperimentConfig(**fields)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
-    """Dispatch to the registered runner and write ``output_path`` if set."""
-    table = EXPERIMENTS[cfg.name](cfg)
+    """Run the named experiment and write ``output_path`` if set."""
+    table = _sweep(cfg)
     if cfg.output_path:
         fmt = "json" if cfg.output_path.endswith(".json") else "csv"
         table.write(cfg.output_path, fmt)
     return table
-
-
-def _expect(cfg: ExperimentConfig, name: str) -> None:
-    if cfg.name != name:
-        raise ParameterError(f"config names {cfg.name!r} but runner expects {name!r}")

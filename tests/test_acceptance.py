@@ -11,16 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from widesense.experiments import (
-    ExperimentConfig,
-    default_config,
-    run_acss_vs_cs,
-    run_error_tracking,
-    run_halting_probability,
-    run_interval_coverage,
-    run_phase_transition,
-    run_sasr_vs_omp,
-)
+from widesense.experiments import ExperimentConfig, default_config, run_experiment
 from oracles import brute_force_l0
 from widesense.recovery import omp
 from widesense.signals import Spectrum, TimeSeries, dft, idft
@@ -42,7 +33,7 @@ def _cells(table, *keys):
 
 def test_phase_transition_success_boundaries():
     start = time.monotonic()
-    table = run_phase_transition(default_config("phase_transition"))
+    table = run_experiment(default_config("phase_transition"))
     elapsed = time.monotonic() - start
 
     rows = _cells(table, "measurements", "sparsity")
@@ -59,7 +50,7 @@ def test_phase_transition_success_boundaries():
 
 
 def test_interval_coverage_beats_floor():
-    table = run_interval_coverage(default_config("interval_coverage"))
+    table = run_experiment(default_config("interval_coverage"))
     for row in table.rows:
         assert row["empirical_coverage"] >= row["bound_value"]
     # more testing rows, better coverage (3% slack on adjacent sizes)
@@ -73,7 +64,7 @@ def test_interval_coverage_beats_floor():
 
 
 def test_error_tracking_window_and_halting():
-    table = run_error_tracking(default_config("error_tracking"))
+    table = run_experiment(default_config("error_tracking"))
     first = {row["testing_per_step"]: row["mean_p_final"] for row in table.rows}
     assert first[60] <= 4.0
     assert first[40] <= 7.0
@@ -89,7 +80,7 @@ def test_error_tracking_window_and_halting():
 
 def test_halting_probability_floor_and_gap():
     start = time.monotonic()
-    table = run_halting_probability(default_config("halting_probability"))
+    table = run_experiment(default_config("halting_probability"))
     elapsed = time.monotonic() - start
 
     for row in table.rows:
@@ -100,7 +91,7 @@ def test_halting_probability_floor_and_gap():
 
 
 def test_sasr_beats_exhaustive_omp():
-    table = run_sasr_vs_omp(default_config("sasr_vs_omp"))
+    table = run_experiment(default_config("sasr_vs_omp"))
     for row in table.rows:
         assert row["mean_mse"] < row["baseline_mse"]
     rows = _cells(table, "sparsity", "noise_power")
@@ -108,7 +99,7 @@ def test_sasr_beats_exhaustive_omp():
 
 
 def test_adaptive_matches_fixed_budget_baseline():
-    table = run_acss_vs_cs(default_config("acss_vs_cs"))
+    table = run_experiment(default_config("acss_vs_cs"))
     for row in table.rows:
         assert row["success_rate"] >= row["baseline_success_rate"]
 
@@ -196,8 +187,8 @@ def test_byte_identical_reruns():
             workers=workers,
         )
 
-    first = run_interval_coverage(cfg(1))
-    again = run_interval_coverage(cfg(1))
-    pooled = run_interval_coverage(cfg(2))
+    first = run_experiment(cfg(1))
+    again = run_experiment(cfg(1))
+    pooled = run_experiment(cfg(2))
     assert first.to_csv_text() == again.to_csv_text() == pooled.to_csv_text()
     assert first.to_json_text() == again.to_json_text() == pooled.to_json_text()

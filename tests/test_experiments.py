@@ -12,16 +12,10 @@ from widesense.experiments import (
     ResultTable,
     default_config,
     load_config,
-    run_acss_vs_cs,
-    run_error_tracking,
     run_experiment,
-    run_halting_probability,
-    run_interval_coverage,
-    run_phase_transition,
-    run_sasr_vs_omp,
-    run_single_frame,
     significant_relative_mse,
 )
+from widesense.rng import stream_seed
 from widesense.validation import confidence_floor_noisy
 
 DESK_FRAME = {
@@ -57,6 +51,37 @@ def _coverage_cfg(**overrides):
     return ExperimentConfig(**fields)
 
 
+# One small config per experiment, each with two or more trials in one cell,
+# and the seed label of that cell.
+TINY = {
+    "phase_transition": (dict(
+        trials=4, grid={"measurements": [20], "sparsity": [2]}, base={"signal_length": 64},
+        master_seed=8), "20:2"),
+    "interval_coverage": (dict(
+        trials=5, grid={"confidence_factor": [0.3], "testing_size": [10]},
+        base={"signal_length": 32}, master_seed=1), "0.3:10"),
+    "error_tracking": (dict(
+        trials=2, grid={"testing_per_step": [10]}, base=dict(TRACKING_MINI),
+        master_seed=9), "v10"),
+    "acss_vs_cs": (dict(
+        trials=2, grid={"sub_nyquist_rate": [1000000000], "sparsity": [8]},
+        master_seed=3), "1000000000.0:8"),
+    "halting_probability": (dict(
+        trials=20, grid={"accuracy_factor": [0.6], "testing_size": [10]},
+        base={"signal_length": 100, "noise_std": 1.0}, master_seed=2), "0.6:10"),
+    "sasr_vs_omp": (dict(
+        trials=2, grid={"sparsity": [8], "noise_power": [1.0]},
+        base={"signal_length": 200, "training_size": 60, "testing_size": 20,
+              "max_sparsity": 20}, master_seed=4), "8:1.0"),
+    "single_frame": (dict(
+        trials=2, base=dict(TRACKING_MINI, testing_per_step=10), master_seed=6), None),
+}
+
+
+def _tiny_cfg(name, **overrides):
+    return ExperimentConfig(name=name, **{**TINY[name][0], **overrides})
+
+
 class TestExperimentConfig:
     def test_rejects_unknown_name(self):
         with pytest.raises(InvalidSpecError):
@@ -67,6 +92,11 @@ class TestExperimentConfig:
             ExperimentConfig(name="phase_transition", trials=0)
         with pytest.raises(InvalidSpecError):
             ExperimentConfig(name="phase_transition", trials=1, workers=0)
+        for counts in ({"trials": 2.7}, {"trials": True}, {"master_seed": 1.9},
+                       {"master_seed": None}, {"workers": 1.5}):
+            fields = {"name": "phase_transition", "trials": 1, **counts}
+            with pytest.raises((InvalidSpecError, ParameterError), match=next(iter(counts))):
+                ExperimentConfig(**fields)
 
     def test_rejects_foreign_grid_key(self):
         with pytest.raises(InvalidSpecError):
@@ -86,6 +116,10 @@ class TestExperimentConfig:
         ({}, {"signal_length": "abc"}),
         ({}, {"signal_length": None}),
         ({}, {"signal_length": math.nan}),
+        ({"sparsity": [-1]}, {}),
+        ({"sparsity": [2.5]}, {}),
+        ({}, {"signal_length": 1.5}),
+        ({}, {"signal_length": -200}),
     ])
     def test_rejects_non_numeric_values(self, grid, base):
         with pytest.raises((InvalidSpecError, ParameterError)):
@@ -195,7 +229,7 @@ class TestRunners:
             base={"signal_length": 64},
             master_seed=5,
         )
-        table = run_phase_transition(cfg)
+        table = run_experiment(cfg)
         assert len(table) == 3
         by_k = {row["sparsity"]: row for row in table.rows}
         assert by_k[0]["success_rate"] == 1.0
@@ -205,7 +239,7 @@ class TestRunners:
         assert by_k[40]["mean_mse"] is None
 
     def test_interval_coverage_mini(self):
-        table = run_interval_coverage(_coverage_cfg())
+        table = run_experiment(_coverage_cfg())
         assert len(table) == 1
         row = table.rows[0]
         assert 0.0 <= row["empirical_coverage"] <= 1.0
@@ -221,7 +255,7 @@ class TestRunners:
             base=dict(TRACKING_MINI),
             master_seed=9,
         )
-        table = run_error_tracking(cfg)
+        table = run_experiment(cfg)
         assert table.rows[0]["step"] == 1
         assert table.rows[0]["reached"] == 2
         steps = table.column("step")
@@ -236,7 +270,7 @@ class TestRunners:
             grid={"sub_nyquist_rate": [1e9], "sparsity": [0, 8]},
             master_seed=3,
         )
-        table = run_acss_vs_cs(cfg)
+        table = run_experiment(cfg)
         by_k = {row["sparsity"]: row for row in table.rows}
         # an unoccupied band is the easy case for both strategies
         assert by_k[0]["success_rate"] == 1.0
@@ -252,7 +286,7 @@ class TestRunners:
             base={"signal_length": 100, "noise_std": 1.0},
             master_seed=2,
         )
-        table = run_halting_probability(cfg)
+        table = run_experiment(cfg)
         row = table.rows[0]
         assert row["bound_value"] == pytest.approx(confidence_floor_noisy(10, 0.6, 1.0))
         assert 0.0 <= row["halt_probability"] <= 1.0
@@ -272,7 +306,7 @@ class TestRunners:
             },
             master_seed=4,
         )
-        table = run_sasr_vs_omp(cfg)
+        table = run_experiment(cfg)
         row = table.rows[0]
         assert math.isfinite(row["mean_mse"]) and row["mean_mse"] >= 0.0
         assert math.isfinite(row["baseline_mse"])
@@ -290,35 +324,38 @@ class TestRunners:
             ),
             master_seed=6,
         )
-        table = run_single_frame(cfg)
+        table = run_experiment(cfg)
         row = table.rows[0]
         assert row["trial"] == 0
         assert 1 <= row["p_final"] <= 8
         assert row["occupied_bands"] >= 1
 
-    def test_runner_rejects_foreign_config(self):
-        with pytest.raises(ParameterError):
-            run_phase_transition(_coverage_cfg())
-
 
 class TestDeterminism:
     def test_same_config_same_bytes(self):
-        a = run_interval_coverage(_coverage_cfg())
-        b = run_interval_coverage(_coverage_cfg())
+        a = run_experiment(_coverage_cfg())
+        b = run_experiment(_coverage_cfg())
         assert a.to_csv_text() == b.to_csv_text()
         assert a.to_json_text() == b.to_json_text()
 
-    def test_worker_count_does_not_change_bytes(self):
-        cfg1 = ExperimentConfig(
-            name="phase_transition",
-            trials=4,
-            grid={"measurements": [20], "sparsity": [2]},
-            base={"signal_length": 64},
-            master_seed=8,
-            workers=1,
-        )
-        cfg2 = ExperimentConfig(**{**cfg1.to_dict(), "workers": 2})
-        assert run_phase_transition(cfg1).to_csv_text() == run_phase_transition(cfg2).to_csv_text()
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_worker_count_does_not_change_bytes(self, name):
+        serial = run_experiment(_tiny_cfg(name, workers=1))
+        pooled = run_experiment(_tiny_cfg(name, workers=2))
+        assert serial.to_csv_text() == pooled.to_csv_text()
+        assert serial.to_json_text() == pooled.to_json_text()
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_seed_base_derives_from_the_cell_label(self, name):
+        cfg = _tiny_cfg(name)
+        label = TINY[name][1]
+        path = (name,) if label is None else (name, label)
+        assert set(run_experiment(cfg).column("seed_base")) == {stream_seed(cfg.master_seed, *path)}
+
+    def test_int_valued_real_is_written_as_float(self):
+        table = run_experiment(_tiny_cfg("acss_vs_cs"))
+        assert table.to_csv_text().splitlines()[1].startswith("1000000000.0,8,")
+        assert '"sub_nyquist_rate": 1000000000.0,' in table.to_json_text()
 
 
 def test_default_config_scales():
@@ -459,6 +496,26 @@ class TestCli:
         edit(payload)
         assert main(["calibrate-lambda", self._write(tmp_path, payload)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"name": "phase_transition", "grid": {"sparsity": [-1]}}, "grid sparsity"),
+        ({"name": "interval_coverage", "grid": {"testing_size": [-3]}}, "grid testing_size"),
+        ({"name": "sasr_vs_omp", "grid": {"noise_power": [-1.0]}}, "grid noise_power"),
+        ({"name": "error_tracking", "grid": {"testing_per_step": [10.5]}},
+         "grid testing_per_step"),
+        ({"name": "phase_transition", "trials": 2.7}, "trials"),
+        ({"name": "phase_transition", "trials": True}, "trials"),
+        ({"name": "phase_transition", "master_seed": 1.9}, "master_seed"),
+        ({"name": "phase_transition", "base": {"signal_length": 1.5}}, "base signal_length"),
+        ({"name": "error_tracking", "base": {"max_sparsity": 20.7}}, "base max_sparsity"),
+        ({"name": "single_frame", "base": {"band_count": 4.5}}, "base band_count"),
+    ], ids=["negative-sparsity", "negative-testing-size", "negative-noise-power",
+            "fractional-testing-per-step", "fractional-trials", "boolean-trials",
+            "fractional-master-seed", "fractional-signal-length", "fractional-max-sparsity",
+            "fractional-band-count"])
+    def test_ill_typed_run_values_exit_one(self, tmp_path, capsys, payload, key):
+        assert main(["run", self._write(tmp_path, payload)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_non_numeric_base_value_exits_one(self, tmp_path, capsys):
         payload = {"name": "phase_transition", "trials": 1, "base": {"signal_length": "abc"}}
