@@ -1,6 +1,6 @@
 """Record one pass of the benchmark as ``BENCH_<PR>.json`` at the repository root.
 
-    python3 tools/bench_record.py PR [--seed N]
+    python3 tools/bench_record.py PR
 
 Runs the command that ``BENCHMARK.json`` declares once on each of its
 workloads, for its ``run_seconds``, one workload after another, and writes the
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1  # one fixed workload seed, so that records of successive changes compare
 
 
 def run_workload(command: list, workload: str, seed: int, seconds: float):
@@ -33,15 +34,14 @@ def run_workload(command: list, workload: str, seed: int, seconds: float):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pr", type=int, help="number of the change being recorded")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [metric["name"] for metric in spec["end_to_end"]]
-    record = {"pr": args.pr, "seed": args.seed, "seconds": spec["run_seconds"],
+    record = {"pr": args.pr, "seed": SEED, "seconds": spec["run_seconds"],
               "machine": None, "workloads": {}}
     for workload in (entry["name"] for entry in spec["workloads"]):
-        run_argv, machine, result = run_workload(spec["command"], workload, args.seed,
+        run_argv, machine, result = run_workload(spec["command"], workload, SEED,
                                                  spec["run_seconds"])
         record["machine"] = record["machine"] or machine
         record["workloads"][workload] = {
