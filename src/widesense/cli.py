@@ -14,7 +14,7 @@ import json
 import sys
 
 from .engine import DetectorConfig, FrameConfig, calibrate_lambda, run_frame, uniform_bands
-from .errors import InvalidSpecError, ParameterError, require_integer
+from .errors import ParameterError, check_keys, check_value
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -61,26 +61,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_json(path: str) -> dict:
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise InvalidSpecError(f"config {path} must hold a JSON object")
-    return raw
+_FRAME_KEYS = ("frame", "halting", "signal", "detector", "master_seed")
+_CALIBRATE_KEYS = ("frame", "halting", "bands", "band_count", "false_alarm", "trials",
+                   "master_seed")
 
 
-def _signal_from_dict(raw: dict):
-    if "tones" in raw:
+def _signal_from_dict(raw):
+    if isinstance(raw, dict) and "tones" in raw:
         return GridSpectrumSpec.from_json(json.dumps(raw))
     return WidebandSignalSpec.from_json(json.dumps(raw))
-
-
-def _frame_pieces(raw: dict):
-    for key in ("frame", "halting"):
-        if key not in raw:
-            raise InvalidSpecError(f"frame config is missing the {key!r} section")
-    frame = FrameConfig.from_dict(raw["frame"])
-    halting = HaltingConfig.from_dict(raw["halting"])
-    return frame, halting
 
 
 def _cmd_run(args) -> int:
@@ -103,10 +92,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_frame(args) -> int:
-    raw = _read_json(args.config)
-    frame, halting = _frame_pieces(raw)
-    if "signal" not in raw:
-        raise InvalidSpecError("frame config is missing the 'signal' section")
+    raw = read_json(args.config)
+    check_keys("top-level", raw, _FRAME_KEYS, ("frame", "halting", "signal"))
+    frame = FrameConfig.from_dict(raw["frame"])
+    halting = HaltingConfig.from_dict(raw["halting"])
     spec = _signal_from_dict(raw["signal"])
     if "detector" in raw:
         detector = DetectorConfig.from_dict(raw["detector"])
@@ -115,7 +104,7 @@ def _cmd_frame(args) -> int:
             bands=uniform_bands(frame.nyquist_rate / 2.0, 4), threshold=1.0
         )
     seed = args.seed if args.seed is not None else raw.get("master_seed", 0)
-    require_integer("frame config", {"master_seed": seed})
+    check_value("frame config", "master_seed", seed, int)
     outcome = run_frame(spec, frame, halting, detector, seed)
     text = outcome.to_json()
     if args.out:
@@ -133,8 +122,10 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    raw = _read_json(args.config)
-    frame, halting = _frame_pieces(raw)
+    raw = read_json(args.config)
+    check_keys("top-level", raw, _CALIBRATE_KEYS, ("frame", "halting"))
+    frame = FrameConfig.from_dict(raw["frame"])
+    halting = HaltingConfig.from_dict(raw["halting"])
     if "bands" in raw:
         bands = raw["bands"]
     else:
@@ -160,7 +151,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidSpecError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"widesense: config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive catch-all

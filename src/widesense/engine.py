@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, ParameterError, require_finite, require_integer
+from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import RecoveryResult, sasr
 from .rng import stream_seed
 from .sensing import RandomMatrixSpec, acquire, draw_matrix
@@ -54,15 +54,6 @@ __all__ = [
 ]
 
 
-def _check_keys(section: str, raw: dict, required: set) -> None:
-    extra = set(raw) - required
-    if extra:
-        raise ParameterError(f"unknown {section} config keys: {sorted(extra)}")
-    missing = required - set(raw)
-    if missing:
-        raise ParameterError(f"missing {section} config keys: {sorted(missing)}")
-
-
 @dataclass(frozen=True)
 class FrameConfig:
     """Timing and sampling-rate layout of one periodic sensing frame."""
@@ -75,8 +66,7 @@ class FrameConfig:
     testing_per_step: int
 
     def __post_init__(self) -> None:
-        require_finite("frame", self.to_dict())
-        require_integer("frame", {"testing_per_step": self.testing_per_step})
+        check_fields("frame", self)
         for name in ("frame_length", "min_transmission", "time_step",
                      "nyquist_rate", "sub_nyquist_rate"):
             if getattr(self, name) <= 0:
@@ -108,19 +98,11 @@ class FrameConfig:
         return _integer_count(self.sub_nyquist_rate * self.time_step, "M_1")
 
     def to_dict(self) -> dict:
-        return {
-            "frame_length": self.frame_length,
-            "min_transmission": self.min_transmission,
-            "time_step": self.time_step,
-            "nyquist_rate": self.nyquist_rate,
-            "sub_nyquist_rate": self.sub_nyquist_rate,
-            "testing_per_step": self.testing_per_step,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FrameConfig":
-        _check_keys("frame", raw, set(cls.__dataclass_fields__))
-        return cls(**raw)
+        return from_fields(cls, "frame", raw)
 
 
 @dataclass(frozen=True)
@@ -131,7 +113,7 @@ class DetectorConfig:
     threshold: float
 
     def __post_init__(self) -> None:
-        require_finite("detector", {"threshold": self.threshold})
+        check_fields("detector", self)
         if self.threshold <= 0:
             raise ParameterError("detection threshold must be positive")
         if not isinstance(self.bands, (list, tuple)) or not self.bands:
@@ -141,7 +123,8 @@ class DetectorConfig:
             if not isinstance(band, (list, tuple)) or len(band) != 2:
                 raise ParameterError(f"band {band!r} is not a (low, high) pair")
             low, high = band
-            require_finite("detector band", {"low": low, "high": high})
+            check_value("detector band", "low", low, float)
+            check_value("detector band", "high", high, float)
             low, high = float(low), float(high)
             if low < 0 or high <= low:
                 raise ParameterError(f"invalid band ({low}, {high})")
@@ -149,13 +132,11 @@ class DetectorConfig:
         object.__setattr__(self, "bands", tuple(clean))
 
     def to_dict(self) -> dict:
-        return {"bands": [list(b) for b in self.bands],
-                "threshold": self.threshold}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DetectorConfig":
-        _check_keys("detector", raw, {"bands", "threshold"})
-        return cls(bands=raw["bands"], threshold=raw["threshold"])
+        return from_fields(cls, "detector", raw)
 
 
 @dataclass(frozen=True)
@@ -339,7 +320,7 @@ def energy_detect(estimate: Spectrum, band, threshold: float):
 
 def uniform_bands(total_bandwidth: float, count: int):
     """``count`` equal-width contiguous bands covering [0, total_bandwidth]."""
-    require_integer("uniform bands", {"count": count})
+    check_value("uniform bands", "count", count, int)
     if total_bandwidth <= 0 or count < 1:
         raise ParameterError("need positive bandwidth and at least one band")
     edges = np.linspace(0.0, total_bandwidth, count + 1)
@@ -357,8 +338,9 @@ def calibrate_lambda(frame: FrameConfig, halting: HaltingConfig, bands,
     quantile lands there, half the smallest positive energy is returned so
     the threshold stays positive and still clears the observed noise floor.
     """
-    require_finite("calibration", {"false_alarm": false_alarm})
-    require_integer("calibration", {"trials": trials, "master_seed": master_seed})
+    check_value("calibration", "false_alarm", false_alarm, float)
+    check_value("calibration", "trials", trials, int)
+    check_value("calibration", "master_seed", master_seed, int)
     if not 0.0 < false_alarm < 1.0:
         raise ParameterError("false_alarm must lie in (0, 1)")
     if trials < 1:

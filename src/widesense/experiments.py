@@ -24,7 +24,8 @@ trial count, its grid and base keys with their default values, the columns
 it adds, a trial function and a row aggregator.  One loop, ``_sweep``, runs
 every experiment.  A key's default also fixes its type: an integer default
 takes integers only, a ``None`` default an integer or null, and a float
-default any finite real, converted to float; every value must be >= 0.
+default any finite real, converted to float; every value must be >= 0, and
+>= 1 where the default is a positive integer.
 
 Every stochastic quantity derives from (master_seed, experiment, cell, trial)
 via :func:`widesense.rng.stream_seed`, trials are order-independent, and rows
@@ -41,13 +42,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
-from .errors import InvalidSpecError, ParameterError, require_finite, require_integer
+from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import FourierDictionary, omp, sasr
 from .rng import stream_seed
 from .sensing import acquire
@@ -85,7 +86,7 @@ class ExperimentConfig:
     """
 
     name: str
-    trials: int
+    trials: int = 1
     grid: dict = field(default_factory=dict)
     base: dict = field(default_factory=dict)
     master_seed: int = 0
@@ -93,12 +94,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        check_fields("experiment", self)
         spec = _experiment(self.name)
-        counts = {"trials": self.trials, "master_seed": self.master_seed, "workers": self.workers}
-        for key, value in counts.items():
-            if value is None:
-                raise InvalidSpecError(f"{self.name} {key} must be an integer, got None")
-        require_integer(self.name, counts)
         if self.trials < 1:
             raise InvalidSpecError("trials must be >= 1")
         if self.workers < 1:
@@ -134,55 +131,28 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "grid": {k: list(v) for k, v in self.grid.items()},
-            "base": dict(self.base),
-            "master_seed": self.master_seed,
-            "output_path": self.output_path,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise InvalidSpecError("experiment config must be a JSON object")
-        known = {"name", "trials", "grid", "base", "master_seed", "output_path", "workers"}
-        extra = set(raw) - known
-        if extra:
-            raise InvalidSpecError(f"unknown config keys: {sorted(extra)}")
-        try:
-            return cls(
-                name=raw["name"],
-                trials=raw.get("trials", 1),
-                grid=dict(raw.get("grid", {})),
-                base=dict(raw.get("base", {})),
-                master_seed=raw.get("master_seed", 0),
-                output_path=raw.get("output_path"),
-                workers=raw.get("workers", 1),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"malformed experiment config: {exc}") from exc
+        return from_fields(cls, "experiment", raw)
 
 
 def _typed(owner: str, key: str, value, default):
     """``value`` checked and converted by the type of ``default``.
 
     Every value is a finite real >= 0.  A float default converts the value
-    to float; an int default takes integers only; a None default takes an
-    integer or null.
+    to float; an int default takes integers only, >= 1 if the default is
+    positive; a None default takes an integer or null.
     """
     if value is None and default is None:
         return None
-    if value is None:
-        raise ParameterError(f"{owner} {key} must be a real number, got None")
-    require_finite(owner, {key: value})
-    if not isinstance(default, float):
-        require_integer(owner, {key: value})
-    if value < 0:
-        raise ParameterError(f"{owner} {key} must be >= 0, got {value!r}")
-    return float(value) if isinstance(default, float) else int(value)
+    kind = float if isinstance(default, float) else int
+    check_value(owner, key, value, kind)
+    least = 1 if kind is int and default else 0
+    if value < least:
+        raise ParameterError(f"{owner} {key} must be >= {least}, got {value!r}")
+    return kind(value)
 
 
 def read_json(path: str):

@@ -70,7 +70,8 @@ class MeasurementSet:
 
     ``step_index`` is the number of slots observed so far (p) and
     ``step_nyquist_count`` the Nyquist samples per slot (N), so phi has
-    p * N columns.
+    p * N columns.  The record keeps a read-only view of each array it is
+    given, not a copy.
     """
 
     training: np.ndarray
@@ -121,6 +122,7 @@ def acquire(
 
     Training noise is drawn before testing noise from one stream keyed by
     ``noise_seed``, so a fixed seed reproduces the measurement set exactly.
+    The record keeps read-only views of ``phi`` and ``psi``, not copies.
     """
     samples = np.asarray(x_p.samples)
     if phi.ndim != 2 or psi.ndim != 2 or phi.shape[1] != samples.size or psi.shape[1] != samples.size:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSpecError, ParameterError
+from .errors import (DimensionError, InvalidSpecError, ParameterError, check_fields,
+                     check_keys, check_value)
 
 __all__ = [
     "SubbandSpec",
@@ -49,9 +50,29 @@ __all__ = [
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
+    """A read-only view of ``a``; no data is copied, and ``a`` stays writable."""
+    out = np.asarray(a).view()
     out.setflags(write=False)
     return out
+
+
+# Wire keys of a subband in signal JSON: power, bandwidth, centre frequency.
+_SUBBAND_KEYS = ("E", "B_hz", "fc_hz")
+
+
+def _load_json(owner: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSpecError(f"malformed {owner} JSON: {exc}") from exc
+
+
+def _grid_list(name: str, value, length: int) -> list:
+    """``value``, once it is a JSON list of ``length`` items."""
+    if not isinstance(value, list) or len(value) != length:
+        raise InvalidSpecError(
+            f"grid spectrum {name} must be a list of {length} values, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -63,6 +84,7 @@ class SubbandSpec:
     center_frequency: float
 
     def __post_init__(self) -> None:
+        check_fields("subband", self)
         if self.power < 0:
             raise InvalidSpecError(f"subband power must be >= 0, got {self.power}")
         if self.bandwidth < 0:
@@ -91,6 +113,7 @@ class WidebandSignalSpec:
     nyquist_rate: float | None = None
 
     def __post_init__(self) -> None:
+        check_fields("signal", self)
         if self.total_bandwidth <= 0:
             raise InvalidSpecError("total_bandwidth must be positive")
         object.__setattr__(self, "subbands", tuple(self.subbands))
@@ -138,20 +161,18 @@ class WidebandSignalSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "WidebandSignalSpec":
-        try:
-            raw = json.loads(text)
-            subbands = tuple(
-                SubbandSpec(power=d["E"], bandwidth=d["B_hz"], center_frequency=d["fc_hz"])
-                for d in raw["subbands"]
-            )
-            return cls(
-                total_bandwidth=raw["W_hz"],
-                subbands=subbands,
-                time_offset=raw.get("alpha_s", 0.0),
-                nyquist_rate=raw.get("nyquist_hz"),
-            )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise InvalidSpecError(f"malformed signal spec JSON: {exc}") from exc
+        raw = _load_json("signal spec", text)
+        check_keys("signal", raw, ("W_hz", "subbands", "alpha_s", "nyquist_hz"),
+                   ("W_hz", "subbands"))
+        check_value("signal", "subbands", raw["subbands"], list)
+        for d in raw["subbands"]:
+            check_keys("subband", d, _SUBBAND_KEYS, _SUBBAND_KEYS)
+        return cls(
+            total_bandwidth=raw["W_hz"],
+            subbands=tuple(SubbandSpec(d["E"], d["B_hz"], d["fc_hz"]) for d in raw["subbands"]),
+            time_offset=raw.get("alpha_s", 0.0),
+            nyquist_rate=raw.get("nyquist_hz"),
+        )
 
 
 @dataclass(frozen=True)
@@ -161,6 +182,9 @@ class GridTone:
     bin_index: int
     amplitude: float
     phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_fields("tone", self)
 
 
 @dataclass(frozen=True)
@@ -184,12 +208,15 @@ class GridSpectrumSpec:
     background_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields("grid spectrum", self)
         if self.reference_length < 2:
             raise InvalidSpecError("reference_length must be at least 2")
         if self.nyquist_rate <= 0:
             raise InvalidSpecError("nyquist_rate must be positive")
         if self.background_level < 0:
             raise InvalidSpecError("background_level must be nonnegative")
+        if self.background_seed < 0:
+            raise InvalidSpecError("background_seed must be nonnegative")
         object.__setattr__(self, "tones", tuple(self.tones))
         seen = set()
         for tone in self.tones:
@@ -220,13 +247,13 @@ class GridSpectrumSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpectrumSpec":
-        try:
-            raw = json.loads(text)
-            tones = tuple(GridTone(int(m), float(a), float(ph)) for m, a, ph in raw["tones"])
-            level, seed = raw.get("background", (0.0, 0))
-            return cls(raw["reference_length"], raw["nyquist_hz"], tones, float(level), int(seed))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise InvalidSpecError(f"malformed grid spectrum JSON: {exc}") from exc
+        raw = _load_json("grid spectrum", text)
+        check_keys("grid spectrum", raw, ("reference_length", "nyquist_hz", "tones", "background"),
+                   ("reference_length", "nyquist_hz", "tones"))
+        check_value("grid spectrum", "tones", raw["tones"], list)
+        tones = tuple(GridTone(*_grid_list("tone", tone, 3)) for tone in raw["tones"])
+        background = _grid_list("background", raw["background"], 2) if "background" in raw else ()
+        return cls(raw["reference_length"], raw["nyquist_hz"], tones, *background)
 
 
 @dataclass(frozen=True)

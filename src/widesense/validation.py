@@ -35,17 +35,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    CriterionUnsatisfiableWarning,
-    DimensionError,
-    ParameterError,
-    require_finite,
-    require_integer,
-)
+from .errors import (CriterionUnsatisfiableWarning, DimensionError, ParameterError,
+                     check_fields, from_fields)
 from .signals import Spectrum
 
 __all__ = [
@@ -97,13 +92,9 @@ class HaltingConfig:
     min_testing: int | None = None
 
     def __post_init__(self) -> None:
+        check_fields("halting", self)
         if self.mode not in ("noiseless", "noisy"):
             raise ParameterError(f"mode must be 'noiseless' or 'noisy', got {self.mode!r}")
-        fields = self.to_dict()
-        del fields["mode"]
-        require_finite("halting", fields)
-        require_integer("halting", {"max_sparsity": self.max_sparsity,
-                                    "min_testing": self.min_testing})
         if self.max_sparsity < 1:
             raise ParameterError("max_sparsity must be >= 1")
         if self.jl_constant <= 0:
@@ -126,43 +117,11 @@ class HaltingConfig:
                 raise ParameterError("confidence_floor must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "max_sparsity": self.max_sparsity,
-            "error_threshold": self.error_threshold,
-            "confidence_factor": self.confidence_factor,
-            "jl_constant": self.jl_constant,
-            "failure_prob": self.failure_prob,
-            "noise_std": self.noise_std,
-            "accuracy": self.accuracy,
-            "confidence_floor": self.confidence_floor,
-            "min_testing": self.min_testing,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HaltingConfig":
-        known = {
-            "mode",
-            "max_sparsity",
-            "error_threshold",
-            "confidence_factor",
-            "jl_constant",
-            "failure_prob",
-            "noise_std",
-            "accuracy",
-            "confidence_floor",
-            "min_testing",
-        }
-        extra = set(raw) - known
-        if extra:
-            raise ParameterError(f"unknown halting config keys: {sorted(extra)}")
-        missing = {"mode", "max_sparsity"} - set(raw)
-        if missing:
-            raise ParameterError(f"missing halting config keys: {sorted(missing)}")
-        kwargs = dict(raw)
-        if kwargs.get("jl_constant") is None:
-            kwargs.pop("jl_constant", None)
-        return cls(**kwargs)
+        return from_fields(cls, "halting", raw)
 
 
 @dataclass(frozen=True)
@@ -218,6 +177,8 @@ def confidence_interval(
         raise ParameterError("eta must lie in (0, 0.5)")
     if v_p < 1:
         raise ParameterError("v_p must be >= 1")
+    if jl_constant <= 0:
+        raise ParameterError("jl_constant must be positive")
     scaled = scaled_validation_parameter(rho, p * N)
     floor = 1.0 - 4.0 * math.exp(-v_p * eta * eta / jl_constant)
     return ValidationReport(

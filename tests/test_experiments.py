@@ -483,6 +483,73 @@ class TestCli:
         assert main(["frame", self._write(tmp_path, payload)]) == 1
         assert message in capsys.readouterr().err
 
+    @staticmethod
+    def _tone(index, value):
+        return lambda raw: raw["signal"]["tones"][0].__setitem__(index, value)
+
+    @staticmethod
+    def _signal(**values):
+        return lambda raw: raw["signal"].update(values)
+
+    @staticmethod
+    def _subband(**values):
+        return lambda raw: raw["signal"]["subbands"][0].update(values)
+
+    @pytest.mark.parametrize("wideband, edit, message", [
+        (False, _tone(0, 12.5), "tone bin_index must be an integer"),
+        (False, _tone(0, "12"), "tone bin_index must be a real number"),
+        (False, _tone(1, math.nan), "tone amplitude must be finite"),
+        (False, _tone(1, True), "tone amplitude must be a real number"),
+        (False, _tone(2, math.inf), "tone phase must be finite"),
+        (False, _signal(background=[math.nan, 1]), "background_level must be finite"),
+        (False, _signal(background=[1e-4, 1.5]), "background_seed must be an integer"),
+        (False, _signal(background=[1e-4, -1]), "background_seed must be nonnegative"),
+        (False, _signal(reference_length=200.0), "reference_length must be an integer"),
+        (False, _signal(level=1e-4), "unknown grid spectrum config keys: ['level']"),
+        (True, _subband(B=1e6), "unknown subband config keys: ['B']"),
+        (False, lambda raw: raw.update(detecter=raw.pop("detector")),
+         "unknown top-level config keys: ['detecter']"),
+        (True, _signal(W_hz=math.nan), "total_bandwidth must be finite"),
+        (True, _subband(E=math.nan), "subband power must be finite"),
+        (True, _subband(fc_hz=math.nan), "center_frequency must be finite"),
+        (True, _signal(alpha_s=math.nan), "time_offset must be finite"),
+        (True, _signal(alpha_s="x"), "time_offset must be a real number"),
+        (False, lambda raw: raw["halting"].update(jl_constant=None),
+         "jl_constant must be a real number"),
+    ], ids=["fractional-bin", "text-bin", "nan-amplitude", "boolean-amplitude", "inf-phase",
+            "nan-background", "fractional-background-seed", "negative-background-seed",
+            "float-reference-length", "unknown-signal-key", "unknown-subband-key",
+            "unknown-top-level-key", "nan-W", "nan-E", "nan-fc", "nan-alpha", "text-alpha",
+            "null-jl-constant"])
+    def test_ill_typed_signal_and_top_level_exit_one(self, tmp_path, capsys, wideband, edit,
+                                                      message):
+        payload = self._signal_payload(wideband)
+        edit(payload)
+        assert main(["frame", self._write(tmp_path, payload)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("wideband", [False, True], ids=["grid", "wideband"])
+    def test_signal_payloads_run(self, tmp_path, wideband):
+        assert main(["frame", self._write(tmp_path, self._signal_payload(wideband))]) == 0
+
+    @staticmethod
+    def _signal_payload(wideband):
+        """A frame config that runs; the cases above change one value of it."""
+        if wideband:
+            signal = {"W_hz": 2.5e9, "subbands": [{"E": 1.0, "B_hz": 2e7, "fc_hz": 5e8}],
+                      "alpha_s": 0.0}
+        else:
+            signal = {"reference_length": 200, "nyquist_hz": 5e9,
+                      "tones": [[12, 1.0, 0.0], [33, 0.8, 1.1]], "background": [1e-4, 1]}
+        return {
+            "frame": dict(DESK_FRAME, testing_per_step=10),
+            "halting": {"mode": "noiseless", "max_sparsity": 48,
+                        "error_threshold": 1.0, "confidence_factor": 0.2},
+            "signal": signal,
+            "detector": {"bands": [[0.0, 1.25e9], [1.25e9, 2.5e9]], "threshold": 1.0},
+            "master_seed": 7,
+        }
+
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw.update(bands=[[0.0, 1e9], [1.0]]), "is not a (low, high) pair"),
         (lambda raw: raw.update(false_alarm="x"), "false_alarm must be a real number"),
@@ -509,10 +576,16 @@ class TestCli:
         ({"name": "phase_transition", "base": {"signal_length": 1.5}}, "base signal_length"),
         ({"name": "error_tracking", "base": {"max_sparsity": 20.7}}, "base max_sparsity"),
         ({"name": "single_frame", "base": {"band_count": 4.5}}, "base band_count"),
+        ({"name": "interval_coverage", "base": {"jl_constant": 0}}, "jl_constant"),
+        ({"name": "phase_transition", "base": {"signal_length": 0}}, "base signal_length"),
+        ({"name": "interval_coverage", "grid": {"testing_size": [0]}}, "grid testing_size"),
+        ({"name": "halting_probability", "grid": {"testing_size": [0]}}, "grid testing_size"),
+        ({"name": "phase_transition", "grid": {"measurements": [0]}}, "grid measurements"),
     ], ids=["negative-sparsity", "negative-testing-size", "negative-noise-power",
             "fractional-testing-per-step", "fractional-trials", "boolean-trials",
             "fractional-master-seed", "fractional-signal-length", "fractional-max-sparsity",
-            "fractional-band-count"])
+            "fractional-band-count", "zero-jl-constant", "zero-signal-length",
+            "zero-coverage-testing-size", "zero-halting-testing-size", "zero-measurements"])
     def test_ill_typed_run_values_exit_one(self, tmp_path, capsys, payload, key):
         assert main(["run", self._write(tmp_path, payload)]) == 1
         assert key in capsys.readouterr().err

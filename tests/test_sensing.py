@@ -133,6 +133,18 @@ def test_measurement_set_arrays_are_frozen():
         ms.phi[0, 0] = 1.0
 
 
+def test_acquire_keeps_read_only_views_of_the_matrices():
+    rng = np.random.default_rng(3)
+    phi, psi = rng.standard_normal((3, 8)), rng.standard_normal((2, 8))
+    ms = acquire(TimeSeries(samples=rng.standard_normal(8), rate=8.0), phi, psi)
+    assert np.shares_memory(ms.phi, phi)
+    assert np.shares_memory(ms.psi, psi)
+    # the record is read-only; the caller's arrays keep their own flags
+    assert phi.flags.writeable and psi.flags.writeable
+    with pytest.raises(ValueError):
+        ms.psi[0, 0] = 1.0
+
+
 class TestSensingDictionary:
     def test_matches_dense_product(self):
         rng = np.random.default_rng(12)
