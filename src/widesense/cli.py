@@ -126,6 +126,8 @@ def _cmd_calibrate(args) -> int:
     check_keys("top-level", raw, _CALIBRATE_KEYS, ("frame", "halting"))
     frame = FrameConfig.from_dict(raw["frame"])
     halting = HaltingConfig.from_dict(raw["halting"])
+    if "bands" in raw and "band_count" in raw:
+        raise ParameterError("top-level config keys 'bands' and 'band_count' exclude each other")
     if "bands" in raw:
         bands = raw["bands"]
     else:

@@ -36,6 +36,7 @@ byte-identical CSV/JSON no matter how many workers run the trials.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import json
@@ -49,7 +50,7 @@ import numpy as np
 
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
-from .recovery import FourierDictionary, omp, sasr
+from .recovery import FourierDictionary, _sasr_then_omp, omp
 from .rng import stream_seed
 from .sensing import acquire
 from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
@@ -499,9 +500,16 @@ def _halting_trial(cell, base, seed):
     rng = np.random.default_rng(stream_seed(seed, "noise"))
     rng.standard_normal(2)
     noise = delta * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
-    halting = HaltingConfig(mode="noisy", max_sparsity=1, noise_std=delta,
-                            accuracy=cell["accuracy_factor"] * delta)
-    return halting_rule(halting, 1, 1, v)(float(np.abs(noise).sum() / v))
+    halts = _noisy_rule(v, delta, cell["accuracy_factor"] * delta)
+    return halts(float(np.abs(noise).sum() / v))
+
+
+@functools.lru_cache(maxsize=128)
+def _noisy_rule(testing_size: int, noise_std: float, accuracy: float):
+    """The one-step noisy halting rule, built once per cell of a sweep."""
+    halting = HaltingConfig(mode="noisy", max_sparsity=1, noise_std=noise_std,
+                            accuracy=accuracy)
+    return halting_rule(halting, 1, 1, testing_size)
 
 
 def _halting_rows(cell, base, run):
@@ -548,8 +556,9 @@ def _sasr_trial(cell, base, seed):
         noise_std=delta,
         accuracy=base["accuracy_factor"] * delta,
     )
-    adaptive = sasr(measurements, halting)
-    exhaustive = omp(measurements.training, FourierDictionary(phi), base["max_sparsity"])
+    # The exhaustive baseline continues the SASR pursuit up to max_sparsity
+    # picks; it equals a fresh omp run on the training rows.
+    adaptive, exhaustive = _sasr_then_omp(measurements, halting)
     return (
         significant_relative_mse(truth, adaptive.estimate.bins),
         significant_relative_mse(truth, exhaustive.estimate.bins),

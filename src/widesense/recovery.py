@@ -3,7 +3,10 @@
 Both entry points run the same matching-pursuit loop over the sensing
 dictionary A = Phi @ inverse_dft: pick the column most correlated with the
 current residual, refit all selected coefficients by least squares, update
-the residual.  They differ only in when they stop:
+the residual.  The loop stops for either entry point once the training
+residual reaches its numerical floor (1e-12 of the training norm), or the
+best column repeats or is numerically dependent; further picks would only
+fit round-off.  Apart from that they differ only in when they stop:
 
 * :func:`omp` runs a fixed number of iterations (the classic algorithm with
   the sparsity level known up front).
@@ -12,6 +15,10 @@ the residual.  They differ only in when they stop:
   iteration and stops as soon as the halting criterion from
   :mod:`widesense.validation` fires, or when the iteration cap
   ``max_sparsity`` is exhausted.  It never sees the true sparsity.
+
+Because the stop rules agree apart from the criterion, SASR's picks are a
+prefix of exhaustive OMP's on the same measurements, so an exhaustive
+baseline can continue a SASR fit instead of redoing it.
 
 The least-squares refit is maintained incrementally through a thin QR
 factorization of the selected columns, so one iteration costs one pass over
@@ -137,6 +144,7 @@ class _IncrementalFit:
         self.qty = np.empty(0, dtype=np.complex128)
         self.support: list[int] = []
         self.residual = self.y.copy()
+        self.residual_norm = float(np.linalg.norm(self.y))
         self.rank_deficient = False
 
     def try_add(self, j: int) -> bool:
@@ -162,15 +170,13 @@ class _IncrementalFit:
         self.qty = np.append(self.qty, q.conj() @ self.y)
         self.support.append(j)
         self.residual = self.y - self.Q @ self.qty
+        self.residual_norm = float(np.linalg.norm(self.residual))
         return True
 
     def coefficients(self) -> np.ndarray:
         if not self.support:
             return np.empty(0, dtype=np.complex128)
         return np.linalg.solve(self.R, self.qty)
-
-    def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.residual))
 
 
 def _best_column(ops, residual: np.ndarray) -> int:
@@ -181,15 +187,20 @@ def _best_column(ops, residual: np.ndarray) -> int:
 def _pursue(fit: _IncrementalFit, steps: int):
     """Add up to ``steps`` greedy picks to ``fit``, yielding after each.
 
-    Stops early when the best column repeats or is numerically dependent,
-    which with random dictionaries signals the residual has already
-    collapsed to numerical noise.
+    Stops early when the training residual reaches its numerical floor, or
+    when the best column repeats or is numerically dependent, which with
+    random dictionaries signals the residual has already collapsed to
+    numerical noise.  The floor is checked after the yield, so a caller
+    still sees the pick that reached it.
     """
+    floor = 1e-12 * fit.residual_norm
     for _ in range(steps):
         j = _best_column(fit.ops, fit.residual)
         if j in fit.support or not fit.try_add(j):
             return
         yield
+        if fit.residual_norm <= floor:
+            return
 
 
 def _result(fit: _IncrementalFit, rho_trace, residual_trace, halted_by: str) -> RecoveryResult:
@@ -207,28 +218,36 @@ def _result(fit: _IncrementalFit, rho_trace, residual_trace, halted_by: str) -> 
     )
 
 
+def _check_k(k: int, rows: int) -> None:
+    if k < 0:
+        raise ParameterError("k must be >= 0")
+    if k > rows:
+        raise ParameterError(
+            f"k = {k} exceeds the {rows} training rows; "
+            "the refit would be underdetermined"
+        )
+
+
+def _fixed_k_label(fit: _IncrementalFit, k: int) -> str:
+    return "fixed_k" if len(fit.support) == k else "k_max_exhausted"
+
+
 def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
     """Matching pursuit for exactly ``k`` iterations.
 
     ``dictionary`` may be a dense array or a :class:`FourierDictionary`.
-    Stops early (reported as "k_max_exhausted") only if the selected column
-    repeats or goes rank deficient.
+    Stops early (reported as "k_max_exhausted") only if the training
+    residual reaches its numerical floor, or the selected column repeats or
+    goes rank deficient.
     """
     training = np.asarray(training, dtype=np.complex128)
     ops = _as_ops(dictionary)
     if ops.shape[0] != training.size:
         raise DimensionError("dictionary rows must match training size")
-    if k < 0:
-        raise ParameterError("k must be >= 0")
-    if k > ops.shape[0]:
-        raise ParameterError(
-            f"k = {k} exceeds the {ops.shape[0]} training rows; "
-            "the refit would be underdetermined"
-        )
+    _check_k(k, ops.shape[0])
     fit = _IncrementalFit(ops, training)
-    residual_trace = [fit.residual_norm() for _ in _pursue(fit, k)]
-    halted_by = "fixed_k" if len(fit.support) == k else "k_max_exhausted"
-    return _result(fit, (), residual_trace, halted_by)
+    residual_trace = [fit.residual_norm for _ in _pursue(fit, k)]
+    return _result(fit, (), residual_trace, _fixed_k_label(fit, k))
 
 
 def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult:
@@ -241,6 +260,19 @@ def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult
     iterations are spent, or the training residual reaches its numerical
     floor.
     """
+    return next(_sasr_then_omp(measurements, halting))
+
+
+def _sasr_then_omp(measurements: MeasurementSet, halting: HaltingConfig):
+    """Yield :func:`sasr`'s result, then continue the same pursuit as OMP.
+
+    The second result equals ``omp(measurements.training,
+    FourierDictionary(measurements.phi), halting.max_sparsity)`` in every
+    field: both fits use the same training vector, dictionary and stop
+    rules apart from the criterion, so SASR's picks are a prefix of OMP's,
+    and the baseline keeps stepping SASR's pursuit (with its column cache
+    and residual trace) instead of redoing those picks.
+    """
     A = FourierDictionary(measurements.phi)
     B = FourierDictionary(measurements.psi)
     y = np.asarray(measurements.training, dtype=np.complex128)
@@ -250,24 +282,28 @@ def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult
         raise ParameterError("sasr needs at least one testing measurement")
     halts = halting_rule(halting, measurements.step_index, measurements.step_nyquist_count, v_p)
     fit = _IncrementalFit(A, y)
+    picks = _pursue(fit, min(halting.max_sparsity, len(y)))
     # The zero estimate may already satisfy the criterion (pure-noise or
     # zero-signal measurements); a zero training vector also leaves the
     # pursuit nothing to do.
     rho_trace = [float(np.abs(testing).sum() / v_p)]
     residual_trace: list[float] = []
-    y_norm = float(np.linalg.norm(y))
+    halted_by = "k_max_exhausted"
     if halts(rho_trace[0]):
-        return _result(fit, rho_trace, residual_trace, "criterion")
-    if y_norm == 0.0:
-        return _result(fit, rho_trace, residual_trace, "k_max_exhausted")
-    testing_columns = np.empty((v_p, 0), dtype=np.complex128)
-    for _ in _pursue(fit, min(halting.max_sparsity, len(y))):
-        testing_columns = np.column_stack([testing_columns, B.column(fit.support[-1])])
-        rho_trace.append(float(np.abs(testing - testing_columns @ fit.coefficients()).sum() / v_p))
-        residual_trace.append(fit.residual_norm())
-        if halts(rho_trace[-1]):
-            return _result(fit, rho_trace, residual_trace, "criterion")
-        if residual_trace[-1] <= 1e-12 * y_norm:
-            # Training residual at numerical floor; further picks are noise.
-            break
-    return _result(fit, rho_trace, residual_trace, "k_max_exhausted")
+        halted_by = "criterion"
+    elif fit.residual_norm > 0.0:
+        testing_columns = np.empty((v_p, 0), dtype=np.complex128)
+        for _ in picks:
+            testing_columns = np.column_stack([testing_columns, B.column(fit.support[-1])])
+            rho_trace.append(float(np.abs(testing - testing_columns @ fit.coefficients()).sum() / v_p))
+            residual_trace.append(fit.residual_norm)
+            if halts(rho_trace[-1]):
+                halted_by = "criterion"
+                break
+    yield _result(fit, rho_trace, residual_trace, halted_by)
+    # SASR caps its picks at the training rows; the baseline, like omp,
+    # rejects a cap above them instead.
+    k = halting.max_sparsity
+    _check_k(k, len(y))
+    residual_trace.extend(fit.residual_norm for _ in picks)
+    yield _result(fit, (), residual_trace, _fixed_k_label(fit, k))

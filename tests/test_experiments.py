@@ -553,7 +553,9 @@ class TestCli:
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw.update(bands=[[0.0, 1e9], [1.0]]), "is not a (low, high) pair"),
         (lambda raw: raw.update(false_alarm="x"), "false_alarm must be a real number"),
-    ], ids=["one-edge-band", "text-false-alarm"])
+        (lambda raw: raw.update(bands=[[0.0, 1e9]], band_count=7),
+         "'bands' and 'band_count' exclude each other"),
+    ], ids=["one-edge-band", "text-false-alarm", "bands-and-band-count"])
     def test_malformed_calibration_exits_one(self, tmp_path, capsys, edit, message):
         payload = {
             "frame": dict(DESK_FRAME, testing_per_step=10),
@@ -589,6 +591,14 @@ class TestCli:
     def test_ill_typed_run_values_exit_one(self, tmp_path, capsys, payload, key):
         assert main(["run", self._write(tmp_path, payload)]) == 1
         assert key in capsys.readouterr().err
+
+    def test_baseline_cap_above_training_rows_exits_one(self, tmp_path, capsys):
+        payload = {"name": "sasr_vs_omp", "trials": 1,
+                   "grid": {"sparsity": [16], "noise_power": [1.0]},
+                   "base": {"training_size": 60}}
+        assert main(["run", self._write(tmp_path, payload)]) == 1
+        assert ("k = 80 exceeds the 60 training rows; the refit would be underdetermined"
+                in capsys.readouterr().err)
 
     def test_non_numeric_base_value_exits_one(self, tmp_path, capsys):
         payload = {"name": "phase_transition", "trials": 1, "base": {"signal_length": "abc"}}

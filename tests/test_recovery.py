@@ -6,7 +6,7 @@ import pytest
 
 from oracles import brute_force_l0, least_squares_on_support, sensing_dictionary
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
-from widesense.recovery import FourierDictionary, omp, sasr
+from widesense.recovery import FourierDictionary, _sasr_then_omp, omp, sasr
 from widesense.sensing import acquire
 from widesense.signals import GridSpectrumSpec, GridTone, synthesize_grid_signal
 from widesense.validation import HaltingConfig
@@ -120,10 +120,29 @@ class TestOmp:
     def test_collapsed_residual_stops_early(self):
         # two proportional columns: the second pick is rank deficient
         a = np.ones(4)
-        result = omp(a.astype(complex), np.column_stack([a, 2 * a]), 2)
+        y = np.array([1, 1, 1, 2], dtype=complex)
+        result = omp(y, np.column_stack([a, 2 * a]), 2)
         assert result.halted_by == "k_max_exhausted"
         assert result.support == (1,)
         assert result.rank_deficient
+
+    def test_exact_fit_stops_at_the_residual_floor(self):
+        # the first pick fits y exactly, so no dependent pick is tried
+        a = np.ones(4)
+        result = omp(a.astype(complex), np.column_stack([a, 2 * a]), 2)
+        assert result.halted_by == "k_max_exhausted"
+        assert result.support == (1,)
+        assert not result.rank_deficient
+
+    def test_exact_sparse_spectrum_stops_at_the_floor(self):
+        x, phi, _ = _sparse_problem()
+        y = (phi @ x.samples).astype(complex)
+        capped = omp(y, FourierDictionary(phi), 20)
+        exact = omp(y, FourierDictionary(phi), 8)
+        assert capped.halted_by == "k_max_exhausted"
+        assert capped.iterations == 8
+        assert capped.support == exact.support
+        assert capped.estimate.bins.tobytes() == exact.estimate.bins.tobytes()
 
     def test_repeated_pick_stops_early(self):
         a = np.ones(4)
@@ -254,6 +273,66 @@ class TestSasr:
         ms = acquire(x, phi, np.zeros((0, 200)))
         with pytest.raises(ParameterError):
             sasr(ms, _noiseless_halting())
+
+
+def _noisy_problem(amplitude, seed, noise_seed, max_sparsity=20, **kw):
+    spec = GridSpectrumSpec(
+        200, 200.0,
+        tuple(GridTone(m, amplitude, 0.5 * i) for i, m in enumerate((11, 29, 47, 73))),
+    )
+    x = synthesize_grid_signal(spec, 1.0)
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((60, 200))
+    ms = acquire(x, phi, rng.standard_normal((110, 200)), noise_std=1.0, noise_seed=noise_seed)
+    halting = HaltingConfig(mode="noisy", max_sparsity=max_sparsity, noise_std=1.0,
+                            accuracy=0.6, **kw)
+    return ms, phi, halting
+
+
+class TestSasrThenOmp:
+    """The continued baseline is a fresh exhaustive omp run, bit for bit."""
+
+    @pytest.mark.parametrize("amplitude, seed, noise_seed, gate, halted_by, iterations", [
+        (8.0, 5, 10, {}, "criterion", 8),
+        (8.0, 5, 10, {"min_testing": 111}, "k_max_exhausted", 20),
+        (0.0, 4, 9, {}, "criterion", 0),
+    ], ids=["criterion", "cap", "zero-estimate"])
+    def test_baseline_equals_fresh_omp(self, amplitude, seed, noise_seed, gate,
+                                       halted_by, iterations):
+        ms, phi, halting = _noisy_problem(amplitude, seed, noise_seed, **gate)
+        adaptive, continued = _sasr_then_omp(ms, halting)
+        assert (adaptive.halted_by, adaptive.iterations) == (halted_by, iterations)
+        fresh = omp(ms.training, FourierDictionary(phi), halting.max_sparsity)
+        assert continued.halted_by == fresh.halted_by == "fixed_k"
+        assert continued.support[:iterations] == adaptive.support
+        _assert_same_result(continued, fresh)
+        _assert_same_result(adaptive, sasr(ms, halting))
+
+    def test_zero_training_vector(self):
+        silent = GridSpectrumSpec(200, 200.0, ())
+        x = synthesize_grid_signal(silent, 1.0)
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal((60, 200))
+        ms = acquire(x, phi, rng.standard_normal((110, 200)))
+        halting = _noiseless_halting(min_testing=500)
+        adaptive, continued = _sasr_then_omp(ms, halting)
+        assert (adaptive.halted_by, adaptive.iterations) == ("k_max_exhausted", 0)
+        _assert_same_result(continued, omp(ms.training, FourierDictionary(phi), 20))
+
+    def test_cap_above_training_rows_is_rejected(self):
+        ms, _, halting = _noisy_problem(8.0, 5, 10, max_sparsity=61)
+        halves = _sasr_then_omp(ms, halting)
+        assert next(halves).iterations == 8
+        with pytest.raises(ParameterError, match="k = 61 exceeds the 60 training rows"):
+            next(halves)
+
+
+def _assert_same_result(a, b):
+    assert a.estimate.bins.dtype == b.estimate.bins.dtype
+    assert a.estimate.bins.tobytes() == b.estimate.bins.tobytes()
+    for name in ("support", "iterations", "rho_trace", "residual_trace", "halted_by",
+                 "rank_deficient"):
+        assert getattr(a, name) == getattr(b, name), name
 
 
 class TestBruteForce:
