@@ -56,7 +56,6 @@ from .recovery import (
 from .rng import stream_seed
 from .sensing import (
     MeasurementSet,
-    RandomMatrixSpec,
     acquire,
     draw_matrix,
 )
@@ -80,13 +79,11 @@ from .validation import (
     accuracy_from_confidence,
     confidence_floor_noisy,
     confidence_interval,
-    empirical_interval_coverage,
     halting_rule,
     noiseless_threshold,
     scaled_validation_parameter,
     testing_size_noiseless,
     testing_size_noisy,
-    validation_parameter,
 )
 
 __version__ = "0.1.0"
@@ -98,13 +95,13 @@ __all__ = [
     "TimeSeries", "Spectrum", "synthesize_signal", "synthesize_grid_signal",
     "signal_time_series", "dft", "idft", "random_grid_spectrum",
     # sensing
-    "RandomMatrixSpec", "MeasurementSet", "draw_matrix", "acquire",
+    "MeasurementSet", "draw_matrix", "acquire",
     # validation
-    "HaltingConfig", "ValidationReport", "validation_parameter",
+    "HaltingConfig", "ValidationReport",
     "scaled_validation_parameter", "confidence_interval",
     "testing_size_noiseless", "noiseless_threshold", "halting_rule",
     "testing_size_noisy", "confidence_floor_noisy",
-    "accuracy_from_confidence", "empirical_interval_coverage",
+    "accuracy_from_confidence",
     # recovery
     "RecoveryResult", "FourierDictionary", "omp", "sasr",
     # engine

@@ -19,6 +19,7 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
     load_config,
+    pin_blas_threads,
     read_json,
     run_experiment,
     write_atomic,
@@ -149,6 +150,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

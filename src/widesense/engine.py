@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import RecoveryResult, sasr
 from .rng import stream_seed
-from .sensing import RandomMatrixSpec, acquire, draw_matrix
+from .sensing import acquire, draw_matrix
 from .signals import (
     GridSpectrumSpec,
     Spectrum,
@@ -193,25 +193,14 @@ def max_steps(frame: FrameConfig) -> int:
 
 
 def _check_spec(spec, frame: FrameConfig) -> None:
-    if isinstance(spec, WidebandSignalSpec):
-        if not math.isclose(spec.nyquist_rate, frame.nyquist_rate,
-                            rel_tol=1e-9):
-            raise InvalidSpecError(
-                "signal nyquist_rate differs from the frame's"
-            )
-    elif isinstance(spec, GridSpectrumSpec):
-        if not math.isclose(spec.nyquist_rate, frame.nyquist_rate,
-                            rel_tol=1e-9):
-            raise InvalidSpecError(
-                "grid spectrum nyquist_rate differs from the frame's"
-            )
-        if spec.reference_length != frame.nyquist_per_step:
-            raise InvalidSpecError(
-                "grid spectrum reference_length must equal the per-step "
-                "Nyquist count"
-            )
-    else:
+    if not isinstance(spec, (WidebandSignalSpec, GridSpectrumSpec)):
         raise InvalidSpecError(f"unsupported signal spec {type(spec).__name__}")
+    if not math.isclose(spec.nyquist_rate, frame.nyquist_rate, rel_tol=1e-9):
+        raise InvalidSpecError("signal nyquist_rate differs from the frame's")
+    if isinstance(spec, GridSpectrumSpec) and spec.reference_length != frame.nyquist_per_step:
+        raise InvalidSpecError(
+            "grid spectrum reference_length must equal the per-step Nyquist count"
+        )
 
 
 def _frame_step(spec, frame: FrameConfig, halting: HaltingConfig,
@@ -220,15 +209,12 @@ def _frame_step(spec, frame: FrameConfig, halting: HaltingConfig,
     v = frame.testing_per_step
     ts = signal_time_series(spec, p * frame.time_step)
     cols = p * frame.nyquist_per_step
-    phi = draw_matrix(RandomMatrixSpec(
-        rows=(frame.measurements_per_step - v) * p, cols=cols,
-        seed=stream_seed(master_seed, "phi", p)))
-    psi = draw_matrix(RandomMatrixSpec(
-        rows=v * p, cols=cols, seed=stream_seed(master_seed, "psi", p)))
+    phi = draw_matrix((frame.measurements_per_step - v) * p, cols,
+                      stream_seed(master_seed, "phi", p))
+    psi = draw_matrix(v * p, cols, stream_seed(master_seed, "psi", p))
     delta = halting.noise_std if halting.mode == "noisy" else 0.0
     ms = acquire(ts, phi, psi, noise_std=delta,
-                 noise_seed=stream_seed(master_seed, "noise", p),
-                 step_index=p)
+                 noise_seed=stream_seed(master_seed, "noise", p))
     return ms, sasr(ms, halting)
 
 

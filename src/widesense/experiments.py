@@ -36,13 +36,16 @@ byte-identical CSV/JSON no matter how many workers run the trials.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import functools
+import glob
 import hashlib
 import itertools
 import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -260,11 +263,32 @@ class ResultTable:
         write_atomic(path, self.to_csv_text() if fmt == "csv" else self.to_json_text())
 
 
+@functools.cache
+def pin_blas_threads() -> None:
+    """Run the OpenBLAS bundled with NumPy on one thread in this process, so
+    that products, and hence table bytes, do not depend on the BLAS thread
+    count; use more workers, not more BLAS threads, for speed.  Warns when
+    no known thread setter is found.  A forked worker inherits the setting."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+    warnings.warn("no OpenBLAS thread setter found; tables may differ in the last "
+                  "bits from one BLAS thread count to another", RuntimeWarning, stacklevel=2)
+
+
 def _map_trials(fn, cell: dict, base: dict, seeds: list, workers: int) -> list:
     if workers <= 1 or len(seeds) <= 1:
         return [fn(cell, base, seed) for seed in seeds]
     chunk = max(1, len(seeds) // (workers * 8))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                initializer=pin_blas_threads) as pool:
         return list(pool.map(fn, itertools.repeat(cell), itertools.repeat(base), seeds,
                              chunksize=chunk))
 
@@ -354,7 +378,7 @@ def _coverage_trial(cell, base, seed):
     direction /= np.linalg.norm(direction)
     psi = rng.standard_normal((v, n))
     rho = float(np.abs(psi @ direction).mean())
-    report = confidence_interval(rho, 1, n, eta, v, base["jl_constant"])
+    report = confidence_interval(rho, n, eta, v, base["jl_constant"])
     true_error = math.sqrt(n)  # unit time-domain direction
     return report.interval_low <= true_error <= report.interval_high
 
@@ -409,7 +433,7 @@ def _tracking_trial(cell, base, seed):
     for p, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
         truth = np.fft.fft(signal_time_series(spec, p * frame.time_step).samples)
         error = float(np.linalg.norm(truth - recovery.estimate.bins))
-        report = confidence_interval(recovery.rho_trace[-1], p, frame.nyquist_per_step, eta, v * p)
+        report = confidence_interval(recovery.rho_trace[-1], p * frame.nyquist_per_step, eta, v * p)
         halted = recovery.halted_by == "criterion"
         in_window = (
             error > 0.0
@@ -509,7 +533,7 @@ def _noisy_rule(testing_size: int, noise_std: float, accuracy: float):
     """The one-step noisy halting rule, built once per cell of a sweep."""
     halting = HaltingConfig(mode="noisy", max_sparsity=1, noise_std=noise_std,
                             accuracy=accuracy)
-    return halting_rule(halting, 1, 1, testing_size)
+    return halting_rule(halting, 1, testing_size)
 
 
 def _halting_rows(cell, base, run):

@@ -280,7 +280,7 @@ def _sasr_then_omp(measurements: MeasurementSet, halting: HaltingConfig):
     v_p = len(testing)
     if v_p < 1:
         raise ParameterError("sasr needs at least one testing measurement")
-    halts = halting_rule(halting, measurements.step_index, measurements.step_nyquist_count, v_p)
+    halts = halting_rule(halting, measurements.phi.shape[1], v_p)
     fit = _IncrementalFit(A, y)
     picks = _pursue(fit, min(halting.max_sparsity, len(y)))
     # The zero estimate may already satisfy the criterion (pure-noise or

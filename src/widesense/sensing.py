@@ -1,11 +1,10 @@
 """Sub-Nyquist acquisition: random matrices, noise, and row bookkeeping.
 
 Measurements are linear projections y = Phi @ x of the Nyquist samples of the
-current observation window, with Phi drawn fresh per step from a Gaussian or
-symmetric Bernoulli ensemble with unit-variance entries.  Rows are split into
-a training set (drives recovery) and a held-out testing set (drives
-validation); the two use separate matrices Phi and Psi so validation stays
-independent of the fit.
+current observation window, with Phi drawn fresh per step from the standard
+Gaussian ensemble.  Rows are split into a training set (drives recovery) and
+a held-out testing set (drives validation); the two use separate matrices Phi
+and Psi so validation stays independent of the fit.
 
 Additive receiver noise is circular complex with per-quadrature standard
 deviation ``noise_std``, i.e. each entry is std * (g1 + 1j * g2) with g1, g2
@@ -24,70 +23,33 @@ from .errors import DimensionError, ParameterError
 from .signals import TimeSeries, _frozen
 
 __all__ = [
-    "RandomMatrixSpec",
     "MeasurementSet",
     "draw_matrix",
     "acquire",
 ]
 
-_DISTRIBUTIONS = ("gaussian_standard", "bernoulli_symmetric")
 
-
-@dataclass(frozen=True)
-class RandomMatrixSpec:
-    """Shape, ensemble and seed of one measurement matrix draw."""
-
-    rows: int
-    cols: int
-    distribution: str = "gaussian_standard"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ParameterError("matrix dimensions must be positive")
-        if self.rows > self.cols:
-            raise ParameterError(
-                f"rows ({self.rows}) must not exceed cols ({self.cols}): "
-                "measurement matrices compress, they do not expand"
-            )
-        if self.distribution not in _DISTRIBUTIONS:
-            raise ParameterError(
-                f"unknown distribution {self.distribution!r}; pick one of {_DISTRIBUTIONS}"
-            )
-
-
-def draw_matrix(spec: RandomMatrixSpec) -> np.ndarray:
-    """Realize the matrix described by ``spec``; same spec, same matrix."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.distribution == "gaussian_standard":
-        return rng.standard_normal((spec.rows, spec.cols))
-    return rng.integers(0, 2, size=(spec.rows, spec.cols)).astype(np.float64) * 2.0 - 1.0
+def draw_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Standard normal ``rows`` x ``cols`` matrix; same seed, same matrix."""
+    return np.random.default_rng(seed).standard_normal((rows, cols))
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
     """One step's worth of compressive measurements.
 
-    ``step_index`` is the number of slots observed so far (p) and
-    ``step_nyquist_count`` the Nyquist samples per slot (N), so phi has
-    p * N columns.  The record keeps a read-only view of each array it is
-    given, not a copy.
+    phi and psi share one column count, the Nyquist length of the observed
+    window.  The record keeps a read-only view of each array it is given,
+    not a copy.
     """
 
     training: np.ndarray
     testing: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    noise_std: float
-    step_index: int
-    step_nyquist_count: int
 
     def __post_init__(self) -> None:
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be >= 0")
-        if self.step_index < 1:
-            raise ParameterError("step_index must be >= 1")
-        n_cols = self.step_index * self.step_nyquist_count
+        n_cols = self.phi.shape[-1]
         if self.phi.shape != (len(self.training), n_cols):
             raise DimensionError(
                 f"phi shape {self.phi.shape} does not match "
@@ -101,14 +63,6 @@ class MeasurementSet:
         for name in ("training", "testing", "phi", "psi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    @property
-    def total_measurements(self) -> int:
-        return len(self.training) + len(self.testing)
-
-    @property
-    def spectrum_length(self) -> int:
-        return self.step_index * self.step_nyquist_count
-
 
 def acquire(
     x_p: TimeSeries,
@@ -116,7 +70,6 @@ def acquire(
     psi: np.ndarray,
     noise_std: float = 0.0,
     noise_seed: int = 0,
-    step_index: int = 1,
 ) -> MeasurementSet:
     """Project the window through (phi, psi) and add receiver noise.
 
@@ -129,10 +82,8 @@ def acquire(
         raise DimensionError(
             f"phi {phi.shape} / psi {psi.shape} incompatible with window length {samples.size}"
         )
-    if samples.size % step_index:
-        raise ParameterError(
-            f"window length {samples.size} is not a multiple of step_index {step_index}"
-        )
+    if noise_std < 0:
+        raise ParameterError("noise_std must be >= 0")
     training = phi @ samples
     testing = psi @ samples
     if noise_std > 0.0:
@@ -143,12 +94,4 @@ def acquire(
     else:
         training = training.astype(np.complex128)
         testing = testing.astype(np.complex128)
-    return MeasurementSet(
-        training=training,
-        testing=testing,
-        phi=phi,
-        psi=psi,
-        noise_std=float(noise_std),
-        step_index=step_index,
-        step_nyquist_count=samples.size // step_index,
-    )
+    return MeasurementSet(training=training, testing=testing, phi=phi, psi=psi)

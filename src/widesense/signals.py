@@ -258,11 +258,10 @@ class GridSpectrumSpec:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled signal segment starting at ``origin`` seconds."""
+    """Uniformly sampled signal segment."""
 
     samples: np.ndarray
     rate: float
-    origin: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rate <= 0:

@@ -37,18 +37,13 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .errors import (CriterionUnsatisfiableWarning, DimensionError, ParameterError,
-                     check_fields, from_fields)
-from .signals import Spectrum
+from .errors import CriterionUnsatisfiableWarning, ParameterError, check_fields, from_fields
 
 __all__ = [
     "RAYLEIGH_MEAN_FACTOR",
     "FOUR_MINUS_PI",
     "HaltingConfig",
     "ValidationReport",
-    "validation_parameter",
     "scaled_validation_parameter",
     "confidence_interval",
     "testing_size_noiseless",
@@ -58,7 +53,6 @@ __all__ = [
     "testing_size_noisy",
     "confidence_floor_noisy",
     "accuracy_from_confidence",
-    "empirical_interval_coverage",
 ]
 
 RAYLEIGH_MEAN_FACTOR = math.sqrt(math.pi / 2.0)
@@ -88,7 +82,6 @@ class HaltingConfig:
     failure_prob: float | None = None
     noise_std: float | None = None
     accuracy: float | None = None
-    confidence_floor: float | None = None
     min_testing: int | None = None
 
     def __post_init__(self) -> None:
@@ -113,8 +106,6 @@ class HaltingConfig:
                 raise ParameterError("noisy mode needs a positive noise_std")
             if self.accuracy is None or self.accuracy <= 0:
                 raise ParameterError("noisy mode needs a positive accuracy")
-            if self.confidence_floor is not None and not 0.0 < self.confidence_floor < 1.0:
-                raise ParameterError("confidence_floor must lie in (0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -135,21 +126,6 @@ class ValidationReport:
     confidence_floor: float
 
 
-def validation_parameter(testing: np.ndarray, psi: np.ndarray, estimate) -> float:
-    """Mean modulus of the testing residual V - Psi @ idft(Xhat)."""
-    bins = estimate.bins if isinstance(estimate, Spectrum) else np.asarray(estimate)
-    testing = np.asarray(testing)
-    if psi.ndim != 2 or psi.shape != (testing.size, bins.size):
-        raise DimensionError(
-            f"psi shape {psi.shape} incompatible with testing size {testing.size} "
-            f"and spectrum length {bins.size}"
-        )
-    if testing.size == 0:
-        raise ParameterError("validation needs at least one testing measurement")
-    predicted = psi @ np.fft.ifft(bins)
-    return float(np.abs(testing - predicted).sum() / testing.size)
-
-
 def scaled_validation_parameter(rho: float, n: int) -> float:
     """Error-scale proxy sqrt(pi * n / 2) * rho for spectrum length n."""
     if n < 1:
@@ -159,17 +135,17 @@ def scaled_validation_parameter(rho: float, n: int) -> float:
 
 def confidence_interval(
     rho: float,
-    p: int,
-    N: int,
+    n: int,
     eta: float,
     v_p: int,
     jl_constant: float = 1.0,
 ) -> ValidationReport:
     """Two-sided error interval implied by the validation parameter.
 
-    The true spectral error lies in [scaled/(1+eta), scaled/(1-eta)] with
-    probability at least 1 - 4 exp(-v_p eta^2 / C), reported clipped to
-    [0, 1] as ``confidence_floor``.
+    At spectrum length ``n`` the true spectral error lies in
+    [scaled/(1+eta), scaled/(1-eta)] with probability at least
+    1 - 4 exp(-v_p eta^2 / C), reported clipped to [0, 1] as
+    ``confidence_floor``.
     """
     if rho < 0:
         raise ParameterError("rho must be >= 0")
@@ -179,7 +155,7 @@ def confidence_interval(
         raise ParameterError("v_p must be >= 1")
     if jl_constant <= 0:
         raise ParameterError("jl_constant must be positive")
-    scaled = scaled_validation_parameter(rho, p * N)
+    scaled = scaled_validation_parameter(rho, n)
     floor = 1.0 - 4.0 * math.exp(-v_p * eta * eta / jl_constant)
     return ValidationReport(
         rho=float(rho),
@@ -201,11 +177,11 @@ def testing_size_noiseless(eta: float, xi: float, jl_constant: float = 1.0) -> i
     return math.ceil(jl_constant / (eta * eta) * math.log(4.0 / xi))
 
 
-def noiseless_threshold(p: int, N: int, cfg: HaltingConfig, v_p: int | None = None) -> float:
-    """Halting threshold on rho for the noiseless criterion.
+def noiseless_threshold(n: int, cfg: HaltingConfig, v_p: int | None = None) -> float:
+    """Halting threshold on rho for the noiseless criterion at spectrum length n.
 
     With a fixed confidence factor the threshold is
-    threshold * (1 - eta) * sqrt(2 / (pi p N)).  When ``cfg.failure_prob``
+    threshold * (1 - eta) * sqrt(2 / (pi n)).  When ``cfg.failure_prob``
     is set the confidence bracket 1 - sqrt((C / v_p) ln(4 / xi)) replaces
     (1 - eta); a non-positive bracket means no residual, however small, can
     satisfy the criterion at this testing size, which is reported as a
@@ -213,9 +189,9 @@ def noiseless_threshold(p: int, N: int, cfg: HaltingConfig, v_p: int | None = No
     """
     if cfg.mode != "noiseless":
         raise ParameterError("noiseless_threshold needs a noiseless-mode config")
-    if p < 1 or N < 1:
-        raise ParameterError("p and N must be positive")
-    scale = math.sqrt(2.0 / (math.pi * p * N))
+    if n < 1:
+        raise ParameterError("spectrum length must be positive")
+    scale = math.sqrt(2.0 / (math.pi * n))
     if cfg.failure_prob is None:
         bracket = 1.0 - cfg.confidence_factor
     else:
@@ -243,8 +219,8 @@ def can_halt(cfg: HaltingConfig, v_p: int) -> bool:
     return cfg.min_testing is None or v_p >= cfg.min_testing
 
 
-def halting_rule(cfg: HaltingConfig, p: int, N: int, v_p: int):
-    """Predicate on rho telling whether sensing halts at step ``p``.
+def halting_rule(cfg: HaltingConfig, n: int, v_p: int):
+    """Predicate on rho telling whether sensing halts at spectrum length ``n``.
 
     The rule is fixed within a step, so it is resolved once: it stays
     closed for every rho unless :func:`can_halt`, the noiseless mode
@@ -255,7 +231,7 @@ def halting_rule(cfg: HaltingConfig, p: int, N: int, v_p: int):
     if not can_halt(cfg, v_p):
         return lambda rho: False
     if cfg.mode == "noiseless":
-        threshold = noiseless_threshold(p, N, cfg, v_p)
+        threshold = noiseless_threshold(n, cfg, v_p)
         return lambda rho: rho <= threshold
     centre = RAYLEIGH_MEAN_FACTOR * cfg.noise_std
     return lambda rho: abs(rho - centre) <= cfg.accuracy
@@ -298,44 +274,3 @@ def accuracy_from_confidence(failure_prob: float, delta: float, v_p: int) -> flo
     log_term = math.log(2.0 / failure_prob)
     disc = log_term * log_term + 16.0 * FOUR_MINUS_PI * log_term * v_p
     return (log_term * delta + delta * math.sqrt(disc)) / (4.0 * v_p)
-
-
-def empirical_interval_coverage(
-    eta: float,
-    v_p: int,
-    trials: int,
-    seed: int = 0,
-    distribution: str = "gaussian_standard",
-) -> float:
-    """Monte Carlo estimate of the interval coverage probability.
-
-    Draws the testing matrix from the given ensemble against fixed unit
-    directions and reports the fraction of draws whose scaled l1 statistic
-    lands within (1 +/- eta) of the truth.  Useful for checking how sharp the
-    analytic floor is, or for calibrating ``jl_constant`` on a non-Gaussian
-    ensemble.
-    """
-    if not 0.0 < eta < 1.0:
-        raise ParameterError("eta must lie in (0, 1)")
-    if v_p < 1 or trials < 1:
-        raise ParameterError("v_p and trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = 64
-    direction = rng.standard_normal(n)
-    direction /= np.linalg.norm(direction)
-    hits = 0
-    batch = max(1, min(trials, 200_000 // max(v_p, 1)))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        if distribution == "gaussian_standard":
-            psi = rng.standard_normal((b, v_p, n))
-        elif distribution == "bernoulli_symmetric":
-            psi = rng.integers(0, 2, size=(b, v_p, n)).astype(np.float64) * 2.0 - 1.0
-        else:
-            raise ParameterError(f"unknown distribution {distribution!r}")
-        proj = psi @ direction
-        stat = RAYLEIGH_MEAN_FACTOR * np.abs(proj).sum(axis=1) / v_p
-        hits += int(np.count_nonzero((stat >= 1.0 - eta) & (stat <= 1.0 + eta)))
-        done += b
-    return hits / trials

@@ -1,7 +1,7 @@
-"""Reference solvers the tests compare the package against.
+"""Reference solvers and statistics the tests compare the package against.
 
-They are exact but slow (dense dictionaries, support enumeration), so the
-package itself never calls them.
+They are exact but slow (dense dictionaries, support enumeration, a fresh
+inverse DFT per call), so the package itself never calls them.
 """
 
 from __future__ import annotations
@@ -13,6 +13,21 @@ import numpy as np
 
 from widesense.errors import DimensionError, ParameterError
 from widesense.signals import Spectrum
+
+
+def validation_parameter(testing: np.ndarray, psi: np.ndarray, estimate) -> float:
+    """Mean modulus of the testing residual V - Psi @ idft(Xhat)."""
+    bins = estimate.bins if isinstance(estimate, Spectrum) else np.asarray(estimate)
+    testing = np.asarray(testing)
+    if psi.ndim != 2 or psi.shape != (testing.size, bins.size):
+        raise DimensionError(
+            f"psi shape {psi.shape} incompatible with testing size {testing.size} "
+            f"and spectrum length {bins.size}"
+        )
+    if testing.size == 0:
+        raise ParameterError("validation needs at least one testing measurement")
+    predicted = psi @ np.fft.ifft(bins)
+    return float(np.abs(testing - predicted).sum() / testing.size)
 
 
 def sensing_dictionary(matrix: np.ndarray) -> np.ndarray:

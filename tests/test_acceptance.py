@@ -173,7 +173,7 @@ def test_formula_self_consistency():
         cfg = HaltingConfig(mode="noiseless", max_sparsity=5,
                             error_threshold=margin, confidence_factor=eta)
         expected = margin * (1.0 - eta) * math.sqrt(2.0 / (math.pi * p * N))
-        assert noiseless_threshold(p, N, cfg) == pytest.approx(expected, rel=1e-12)
+        assert noiseless_threshold(p * N, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_byte_identical_reruns():

@@ -58,7 +58,6 @@ def haltings(draw):
         mode="noisy",
         noise_std=draw(_reals(1e-6, 1e6)),
         accuracy=draw(_reals(1e-6, 1e6)),
-        confidence_floor=draw(st.none() | _reals(0.0, 1.0, exclude_min=True, exclude_max=True)),
         **common,
     )
 

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import widesense
+from widesense import experiments
 from widesense.cli import main
 from widesense.errors import InvalidSpecError, ParameterError
 from widesense.experiments import (
@@ -331,6 +337,24 @@ class TestRunners:
         assert row["occupied_bands"] >= 1
 
 
+class TestIntervalCoverage:
+    """One-cell ``interval_coverage`` runs against the analytic floor."""
+
+    @staticmethod
+    def _coverage(eta, v, trials, seed):
+        cfg = _coverage_cfg(trials=trials, master_seed=seed, base={"signal_length": 64},
+                            grid={"confidence_factor": [eta], "testing_size": [v]})
+        return run_experiment(cfg).rows[0]
+
+    def test_beats_analytic_floor(self):
+        row = self._coverage(0.3, 40, 2000, 1)
+        assert row["bound_value"] == pytest.approx(1.0 - 4.0 * math.exp(-40 * 0.09))
+        assert row["empirical_coverage"] >= row["bound_value"]
+
+    def test_wide_eta_near_certain(self):
+        assert self._coverage(0.49, 200, 500, 2)["empirical_coverage"] >= 0.99
+
+
 class TestDeterminism:
     def test_same_config_same_bytes(self):
         a = run_experiment(_coverage_cfg())
@@ -351,6 +375,31 @@ class TestDeterminism:
         label = TINY[name][1]
         path = (name,) if label is None else (name, label)
         assert set(run_experiment(cfg).column("seed_base")) == {stream_seed(cfg.master_seed, *path)}
+
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # A pursuit-heavy cell whose last digits moved with the BLAS thread
+        # count before the command line pinned BLAS to one thread.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "sasr_vs_omp", "trials": 4, "master_seed": 5,
+                                   "grid": {"sparsity": [32], "noise_power": [1.0]}}))
+        source = str(Path(widesense.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-m", "widesense.cli", "run", str(cfg)],
+                                  capture_output=True, env=env, timeout=300, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_missing_blas_setter_warns(self, monkeypatch):
+        monkeypatch.setattr(experiments.glob, "glob", lambda pattern: [])
+        experiments.pin_blas_threads.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="no OpenBLAS thread setter"):
+                experiments.pin_blas_threads()
+        finally:
+            experiments.pin_blas_threads.cache_clear()
 
     def test_int_valued_real_is_written_as_float(self):
         table = run_experiment(_tiny_cfg("acss_vs_cs"))
@@ -468,9 +517,11 @@ class TestCli:
         (lambda raw: raw["halting"].update(min_testing="abc"), "min_testing must be a real number"),
         (lambda raw: raw["detector"].update(bands=[[1.0]]), "is not a (low, high) pair"),
         (lambda raw: raw.update(master_seed="x"), "master_seed must be an integer"),
+        (lambda raw: raw["halting"].update(confidence_floor=0.9),
+         "unknown halting config keys: ['confidence_floor']"),
     ], ids=["nan-frame-length", "no-testing-per-step", "no-detector-bands",
             "fractional-testing-per-step", "fractional-max-sparsity", "text-min-testing",
-            "one-edge-band", "text-master-seed"])
+            "one-edge-band", "text-master-seed", "retired-confidence-floor"])
     def test_malformed_frame_sections_exit_one(self, tmp_path, capsys, edit, message):
         payload = {
             "frame": dict(DESK_FRAME, testing_per_step=10),

@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,23 @@ def test_spec_errors_are_parameter_errors():
     from widesense.errors import InvalidSpecError, ParameterError
 
     assert issubclass(InvalidSpecError, ParameterError)
+
+
+def test_every_benchmark_trace_target_exists():
+    # bench/tracing.py wraps named functions and methods; a renamed or
+    # deleted one would silently drop out of the per-layer metrics
+    import widesense
+    import widesense.cli  # noqa: F401  (traced, not imported by the package)
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = widesense.sasr
+    tracer = tracing.Tracer(widesense)
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.remove()
+    assert widesense.sasr is original

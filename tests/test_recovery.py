@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import brute_force_l0, least_squares_on_support, sensing_dictionary
+from oracles import (brute_force_l0, least_squares_on_support, sensing_dictionary,
+                     validation_parameter)
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
 from widesense.recovery import FourierDictionary, _sasr_then_omp, omp, sasr
 from widesense.sensing import acquire
@@ -267,6 +268,19 @@ class TestSasr:
         assert [w.category for w in caught] == [CriterionUnsatisfiableWarning]
         assert result.halted_by == "k_max_exhausted"
         assert result.iterations > 1
+
+    @pytest.mark.parametrize("noise_std, halting", [
+        # capped below the 8 occupied bins, so rho stays far above round-off
+        (0.0, _noiseless_halting(max_sparsity=4)),
+        (1.0, HaltingConfig(mode="noisy", max_sparsity=20, noise_std=1.0, accuracy=0.6)),
+    ], ids=["noiseless", "noisy"])
+    def test_last_rho_matches_the_oracle(self, noise_std, halting):
+        x, phi, psi = _sparse_problem()
+        ms = acquire(x, phi, psi, noise_std=noise_std, noise_seed=11)
+        result = sasr(ms, halting)
+        assert result.iterations > 0
+        rho = validation_parameter(ms.testing, ms.psi, result.estimate)
+        np.testing.assert_allclose(result.rho_trace[-1], rho, rtol=1e-12, atol=0)
 
     def test_needs_testing_rows(self):
         x, phi, _ = _sparse_problem()

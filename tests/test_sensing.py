@@ -4,43 +4,25 @@ import pytest
 from oracles import sensing_dictionary
 from widesense.errors import DimensionError, ParameterError
 from widesense.recovery import FourierDictionary
-from widesense.sensing import MeasurementSet, RandomMatrixSpec, acquire, draw_matrix
+from widesense.sensing import MeasurementSet, acquire, draw_matrix
 from widesense.signals import TimeSeries
 
 
-class TestRandomMatrixSpec:
-    def test_rejects_fat_expansion(self):
-        with pytest.raises(ParameterError):
-            RandomMatrixSpec(rows=10, cols=5)
-
-    def test_rejects_unknown_distribution(self):
-        with pytest.raises(ParameterError):
-            RandomMatrixSpec(rows=2, cols=4, distribution="rademacher")
-
-    def test_rejects_degenerate_shape(self):
-        with pytest.raises(ParameterError):
-            RandomMatrixSpec(rows=0, cols=4)
-
-
 def test_draw_matrix_is_deterministic():
-    spec = RandomMatrixSpec(rows=6, cols=20, seed=1234)
-    assert np.array_equal(draw_matrix(spec), draw_matrix(spec))
-    other = RandomMatrixSpec(rows=6, cols=20, seed=1235)
-    assert not np.array_equal(draw_matrix(spec), draw_matrix(other))
+    assert np.array_equal(draw_matrix(6, 20, 1234), draw_matrix(6, 20, 1234))
+    assert not np.array_equal(draw_matrix(6, 20, 1234), draw_matrix(6, 20, 1235))
+
+
+def test_draw_matrix_is_the_seeded_standard_normal_stream():
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(77)))
+    assert np.array_equal(draw_matrix(3, 5, 77), expected.standard_normal((3, 5)))
 
 
 def test_draw_matrix_gaussian_moments():
-    spec = RandomMatrixSpec(rows=200, cols=500, seed=0)
-    m = draw_matrix(spec)
+    m = draw_matrix(200, 500, 0)
     assert m.shape == (200, 500)
     assert abs(m.mean()) < 0.01
     assert abs(m.var() - 1.0) < 0.01
-
-
-def test_draw_matrix_bernoulli_entries():
-    spec = RandomMatrixSpec(rows=40, cols=100, distribution="bernoulli_symmetric", seed=3)
-    m = draw_matrix(spec)
-    assert set(np.unique(m)) == {-1.0, 1.0}
 
 
 class TestAcquire:
@@ -57,8 +39,6 @@ class TestAcquire:
         assert np.allclose(ms.training, phi @ ts.samples)
         assert np.allclose(ms.testing, psi @ ts.samples)
         assert ms.training.dtype == np.complex128
-        assert ms.total_measurements == 8
-        assert ms.spectrum_length == 24
 
     def test_noise_is_reproducible_and_complex(self):
         ts = self._window()
@@ -92,18 +72,10 @@ class TestAcquire:
         with pytest.raises(DimensionError):
             acquire(ts, phi, psi)
 
-    def test_rejects_non_multiple_step_index(self):
+    def test_rejects_negative_noise_std(self):
         ts = self._window(24)
-        phi = np.zeros((2, 24))
-        psi = np.zeros((2, 24))
-        with pytest.raises(ParameterError):
-            acquire(ts, phi, psi, step_index=5)
-
-    def test_step_bookkeeping(self):
-        ts = self._window(24)
-        ms = acquire(ts, np.zeros((2, 24)), np.zeros((2, 24)), step_index=3)
-        assert ms.step_index == 3
-        assert ms.step_nyquist_count == 8
+        with pytest.raises(ParameterError, match="noise_std"):
+            acquire(ts, np.zeros((2, 24)), np.zeros((2, 24)), noise_std=-0.1)
 
 
 def test_measurement_set_validates_shapes():
@@ -113,9 +85,6 @@ def test_measurement_set_validates_shapes():
             testing=np.zeros(1, dtype=complex),
             phi=np.zeros((2, 7)),
             psi=np.zeros((1, 8)),
-            noise_std=0.0,
-            step_index=1,
-            step_nyquist_count=8,
         )
 
 
@@ -125,9 +94,6 @@ def test_measurement_set_arrays_are_frozen():
         testing=np.zeros(1, dtype=complex),
         phi=np.zeros((2, 8)),
         psi=np.zeros((1, 8)),
-        noise_std=0.0,
-        step_index=1,
-        step_nyquist_count=8,
     )
     with pytest.raises(ValueError):
         ms.phi[0, 0] = 1.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import validation_parameter
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
 from widesense.signals import Spectrum
 from widesense.validation import (
@@ -13,13 +14,11 @@ from widesense.validation import (
     can_halt,
     confidence_floor_noisy,
     confidence_interval,
-    empirical_interval_coverage,
     halting_rule,
     noiseless_threshold,
     scaled_validation_parameter,
     testing_size_noiseless,
     testing_size_noisy,
-    validation_parameter,
 )
 
 
@@ -57,12 +56,15 @@ class TestHaltingConfig:
     def test_round_trip(self):
         cfg = _noiseless_cfg(failure_prob=0.05, min_testing=40)
         assert HaltingConfig.from_dict(cfg.to_dict()) == cfg
-        noisy = _noisy_cfg(confidence_floor=0.9)
+        noisy = _noisy_cfg(min_testing=20)
         assert HaltingConfig.from_dict(noisy.to_dict()) == noisy
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ParameterError):
             HaltingConfig.from_dict({"mode": "noisy", "max_sparsity": 5, "sigma": 1.0})
+        raw = dict(_noisy_cfg().to_dict(), confidence_floor=0.9)
+        with pytest.raises(ParameterError, match="confidence_floor"):
+            HaltingConfig.from_dict(raw)
 
     @pytest.mark.parametrize("key", ["mode", "max_sparsity"])
     def test_from_dict_names_missing_keys(self, key):
@@ -81,7 +83,6 @@ class TestHaltingConfig:
         (_noiseless_cfg, "min_testing"),
         (_noisy_cfg, "noise_std"),
         (_noisy_cfg, "accuracy"),
-        (_noisy_cfg, "confidence_floor"),
     ])
     def test_rejects_non_finite_numbers(self, make, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
@@ -133,24 +134,24 @@ def test_scaled_parameter_formula():
 
 class TestConfidenceInterval:
     def test_frozen_example(self):
-        report = confidence_interval(rho=0.1, p=1, N=200, eta=0.2, v_p=40)
+        report = confidence_interval(rho=0.1, n=200, eta=0.2, v_p=40)
         assert report.scaled_rho == pytest.approx(1.7724538509055163)
         assert report.interval_low == pytest.approx(1.477044875754597)
         assert report.interval_high == pytest.approx(2.215567313631895)
         assert report.confidence_floor == pytest.approx(0.19241392802137847)
 
     def test_floor_clips_to_zero(self):
-        report = confidence_interval(rho=0.1, p=1, N=200, eta=0.2, v_p=1)
+        report = confidence_interval(rho=0.1, n=200, eta=0.2, v_p=1)
         assert report.confidence_floor == 0.0
 
     def test_interval_contains_scaled_value(self):
-        report = confidence_interval(rho=0.37, p=3, N=100, eta=0.3, v_p=50)
+        report = confidence_interval(rho=0.37, n=300, eta=0.3, v_p=50)
         assert report.interval_low <= report.scaled_rho <= report.interval_high
 
     def test_eta_range_enforced(self):
         for eta in (0.0, 0.5, 0.7):
             with pytest.raises(ParameterError):
-                confidence_interval(0.1, 1, 100, eta, 10)
+                confidence_interval(0.1, 100, eta, 10)
 
 
 class TestSizingRules:
@@ -210,42 +211,42 @@ def test_accuracy_shrinks_with_testing_budget():
 class TestNoiselessThreshold:
     def test_fixed_eta_frozen_value(self):
         cfg = _noiseless_cfg()
-        assert noiseless_threshold(1, 200, cfg) == pytest.approx(0.045135166683820505)
+        assert noiseless_threshold(200, cfg) == pytest.approx(0.045135166683820505)
 
     def test_fixed_confidence_bracket(self):
         cfg = _noiseless_cfg(failure_prob=0.05)
-        got = noiseless_threshold(1, 200, cfg, v_p=110)
+        got = noiseless_threshold(200, cfg, v_p=110)
         bracket = 1.0 - math.sqrt(math.log(4.0 / 0.05) / 110)
         assert got == pytest.approx(bracket * math.sqrt(2.0 / (math.pi * 200)))
 
     def test_fixed_confidence_needs_v(self):
         cfg = _noiseless_cfg(failure_prob=0.05)
         with pytest.raises(ParameterError):
-            noiseless_threshold(1, 200, cfg)
+            noiseless_threshold(200, cfg)
 
     def test_warns_when_unsatisfiable(self):
         cfg = _noiseless_cfg(failure_prob=0.05)
         with pytest.warns(CriterionUnsatisfiableWarning):
-            thr = noiseless_threshold(1, 200, cfg, v_p=2)
+            thr = noiseless_threshold(200, cfg, v_p=2)
         assert thr <= 0.0
 
     def test_halt_noiseless_agrees_with_threshold(self):
         cfg = _noiseless_cfg()
-        thr = noiseless_threshold(2, 100, cfg)
-        halts = halting_rule(cfg, 2, 100, 10)
+        thr = noiseless_threshold(200, cfg)
+        halts = halting_rule(cfg, 200, 10)
         assert halts(thr * 0.999)
         assert not halts(thr * 1.001)
 
 
 class TestHaltNoisy:
     def test_frozen_decisions(self):
-        halts = halting_rule(_noisy_cfg(), 1, 100, 10)
+        halts = halting_rule(_noisy_cfg(), 100, 10)
         assert not halts(1.9)
         assert halts(0.7)
 
     def test_centered_on_rayleigh_mean(self):
         cfg = _noisy_cfg(noise_std=2.0, accuracy=0.1)
-        assert halting_rule(cfg, 1, 100, 10)(RAYLEIGH_MEAN_FACTOR * 2.0)
+        assert halting_rule(cfg, 100, 10)(RAYLEIGH_MEAN_FACTOR * 2.0)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -253,31 +254,11 @@ class TestHaltNoisy:
     _noisy_cfg(noise_std=1e-9, min_testing=40),
 ])
 def test_halting_rule_closed_below_min_testing(cfg):
-    assert not halting_rule(cfg, 1, 200, 39)(0.0)
-    assert halting_rule(cfg, 1, 200, 40)(0.0)
+    assert not halting_rule(cfg, 200, 39)(0.0)
+    assert halting_rule(cfg, 200, 40)(0.0)
 
 
 def test_can_halt_gates_on_min_testing():
     assert can_halt(_noiseless_cfg(), 1)
     assert not can_halt(_noiseless_cfg(min_testing=40), 39)
     assert can_halt(_noiseless_cfg(min_testing=40), 40)
-
-
-class TestEmpiricalCoverage:
-    def test_is_deterministic(self):
-        a = empirical_interval_coverage(0.3, 20, 500, seed=4)
-        b = empirical_interval_coverage(0.3, 20, 500, seed=4)
-        assert a == b
-
-    def test_beats_analytic_floor(self):
-        eta, v = 0.3, 40
-        cov = empirical_interval_coverage(eta, v, 2000, seed=1)
-        floor = 1.0 - 4.0 * math.exp(-v * eta * eta)
-        assert cov >= floor
-
-    def test_wide_eta_near_certain(self):
-        assert empirical_interval_coverage(0.49, 200, 500, seed=2) >= 0.99
-
-    def test_rejects_unknown_ensemble(self):
-        with pytest.raises(ParameterError):
-            empirical_interval_coverage(0.3, 10, 10, distribution="cauchy")
