@@ -187,6 +187,17 @@ class TestIterFrameSteps:
 
 
 class TestRunFrame:
+    @pytest.mark.parametrize("spec, message", [
+        (WidebandSignalSpec(total_bandwidth=1e9, subbands=()), "nyquist_rate differs"),
+        (GridSpectrumSpec(200, 4e9, ()), "nyquist_rate differs"),
+        (GridSpectrumSpec(100, 5e9, ()), "reference_length must equal"),
+        ("not a spec", "unsupported signal spec str"),
+    ], ids=["wideband-rate", "grid-rate", "grid-length", "unsupported-type"])
+    def test_rejects_mismatched_signal(self, spec, message):
+        detector = DetectorConfig(uniform_bands(2.5e9, 4), 0.5)
+        with pytest.raises(InvalidSpecError, match=message):
+            run_frame(spec, _frame(), _halting(), detector, 0)
+
     def test_four_tone_frame_halts_early(self):
         out = run_frame(FOUR_TONES, _frame(), _halting(), DetectorConfig(uniform_bands(2.5e9, 4), 0.5), 7)
         assert out.halted

@@ -354,6 +354,9 @@ class TestIntervalCoverage:
     def test_wide_eta_near_certain(self):
         assert self._coverage(0.49, 200, 500, 2)["empirical_coverage"] >= 0.99
 
+    def test_is_deterministic(self):
+        assert self._coverage(0.3, 20, 500, 4) == self._coverage(0.3, 20, 500, 4)
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self):
