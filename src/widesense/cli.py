@@ -150,11 +150,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    pin_blas_threads()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with pin_blas_threads():
+            return _COMMANDS[args.command](args)
     except ParameterError as exc:
         print(f"widesense: config error: {exc}", file=sys.stderr)
         return 1

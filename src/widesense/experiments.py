@@ -21,8 +21,11 @@ trials, and aggregate :class:`ResultTable` rows per grid cell:
 
 Each experiment is one entry of the ``_EXPERIMENTS`` registry: its default
 trial count, its grid and base keys with their default values, the columns
-it adds, a trial function and a row aggregator.  One loop, ``_sweep``, runs
-every experiment.  A key's default also fixes its type: an integer default
+it adds, a trial function over a chunk of trial seeds, the chunk size and a
+row aggregator.  One loop, ``_sweep``, runs every experiment.
+``phase_transition`` runs each chunk of trials as one stacked pursuit,
+chunked to about 1 MiB of measurement matrices; the other experiments run
+per seed.  A key's default also fixes its type: an integer default
 takes integers only, a ``None`` default an integer or null, and a float
 default any finite real, converted to float; every value must be >= 0, and
 >= 1 where the default is a positive integer.
@@ -35,7 +38,7 @@ byte-identical CSV/JSON no matter how many workers run the trials.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import ctypes
 import functools
 import glob
@@ -53,14 +56,15 @@ import numpy as np
 
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
-from .recovery import FourierDictionary, _sasr_then_omp, omp
+from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp
 from .rng import stream_seed
 from .sensing import acquire
 from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
 from .validation import (
     HaltingConfig,
-    confidence_interval,
+    confidence_floor_noiseless,
     confidence_floor_noisy,
+    confidence_interval,
     halting_rule,
     testing_size_noiseless,
 )
@@ -263,34 +267,80 @@ class ResultTable:
         write_atomic(path, self.to_csv_text() if fmt == "csv" else self.to_json_text())
 
 
+# (getter, setter) name pairs of the thread count of an OpenBLAS build.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
 @functools.cache
-def pin_blas_threads() -> None:
-    """Run the OpenBLAS bundled with NumPy on one thread in this process, so
-    that products, and hence table bytes, do not depend on the BLAS thread
-    count; use more workers, not more BLAS threads, for speed.  Warns when
-    no known thread setter is found.  A forked worker inherits the setting."""
+def _blas_threads():
+    """The (getter, setter) of the thread count of the OpenBLAS bundled with
+    NumPy, or None when no known pair is found."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
+        for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
-    warnings.warn("no OpenBLAS thread setter found; tables may differ in the last "
-                  "bits from one BLAS thread count to another", RuntimeWarning, stacklevel=2)
+                return getter, setter
+    return None
 
 
-def _map_trials(fn, cell: dict, base: dict, seeds: list, workers: int) -> list:
-    if workers <= 1 or len(seeds) <= 1:
-        return [fn(cell, base, seed) for seed in seeds]
-    chunk = max(1, len(seeds) // (workers * 8))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                initializer=pin_blas_threads) as pool:
-        return list(pool.map(fn, itertools.repeat(cell), itertools.repeat(base), seeds,
-                             chunksize=chunk))
+@contextlib.contextmanager
+def pin_blas_threads():
+    """Run the block with the OpenBLAS bundled with NumPy on one thread, so
+    that products, and hence table bytes, do not depend on the BLAS thread
+    count; use more workers, not more BLAS threads, for speed.  The caller's
+    thread count is restored afterwards.  Warns when no known thread setter
+    is found."""
+    found = _blas_threads()
+    if found is None:
+        warnings.warn("no OpenBLAS thread setter found; tables may differ in the last "
+                      "bits from one BLAS thread count to another", RuntimeWarning,
+                      stacklevel=3)
+        yield
+        return
+    getter, setter = found
+    saved = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(saved)
+
+
+def _pin_worker() -> None:
+    """Pool initializer: a worker keeps OpenBLAS on one thread for its life."""
+    found = _blas_threads()
+    if found is not None:
+        found[1](1)
+
+
+def _each_seed(trial, cell: dict, base: dict, seeds: list) -> list:
+    return [trial(cell, base, seed) for seed in seeds]
+
+
+def _map_trials(fn, cell: dict, base: dict, seeds: list, size: int, workers: int) -> list:
+    """The outcomes of ``fn(cell, base, chunk)`` over ``seeds`` cut into
+    chunks of ``size``, in seed order."""
+    chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    args = (fn, itertools.repeat(cell), itertools.repeat(base), chunks)
+    if workers <= 1 or len(chunks) <= 1:
+        runs = list(map(*args))
+    else:
+        # Imported here: the process pool machinery costs about 0.8 MB of
+        # resident memory that a serial run does not need.
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    initializer=_pin_worker) as pool:
+            runs = list(pool.map(*args, chunksize=max(1, len(chunks) // (workers * 8))))
+    return [outcome for run in runs for outcome in run]
 
 
 def significant_relative_mse(truth: np.ndarray, estimate: np.ndarray,
@@ -336,18 +386,32 @@ def _frame_config(base: dict, **overrides) -> FrameConfig:
 # phase transition
 
 
-def _phase_transition_trial(cell, base, seed):
+# A phase_transition chunk stacks at most this many bytes of measurement
+# matrices (6 trials at 100 x 200), so its pursuit arrays stay in cache.
+_STACK_BYTES = 1 << 20
+
+
+def _phase_transition_chunk(cell, base) -> int:
+    return max(1, _STACK_BYTES // (8 * cell["measurements"] * base["signal_length"]))
+
+
+def _phase_transition_trials(cell, base, seeds):
+    """Each seed draws its trial as a lone trial would; the chunk is then
+    recovered by one stacked fixed-k pursuit."""
     m, k, n = cell["measurements"], cell["sparsity"], base["signal_length"]
-    rng = np.random.default_rng(seed)
-    spectrum = np.zeros(n, dtype=complex)
-    if k:
-        support = rng.choice(n, size=k, replace=False)
-        spectrum[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    phi = rng.standard_normal((m, n))
-    training = phi @ np.fft.ifft(spectrum)
-    result = omp(training, FourierDictionary(phi), k)
-    rel = _relative_sq_error(spectrum, result.estimate.bins)
-    return rel <= SUCCESS_MSE, rel
+    spectra = np.zeros((len(seeds), n), dtype=complex)
+    phi = np.empty((len(seeds), m, n))
+    training = np.empty((len(seeds), m), dtype=complex)
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if k:
+            support = rng.choice(n, size=k, replace=False)
+            spectra[b, support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        rng.standard_normal(out=phi[b])
+        training[b] = phi[b] @ np.fft.ifft(spectra[b])
+    results = _omp_batch(FourierDictionary(phi), training, k)
+    rels = [_relative_sq_error(s, r.estimate.bins) for s, r in zip(spectra, results)]
+    return [(rel <= SUCCESS_MSE, rel) for rel in rels]
 
 
 def _phase_transition_rows(cell, base, run):
@@ -386,9 +450,9 @@ def _coverage_trial(cell, base, seed):
 def _coverage_rows(cell, base, run):
     """Empirical probability that the error interval covers the true error."""
     hits = run()
-    eta, v = cell["confidence_factor"], cell["testing_size"]
-    floor = 1.0 - 4.0 * math.exp(-v * eta * eta / base["jl_constant"])
-    return [{"empirical_coverage": float(np.mean(hits)), "bound_value": max(floor, 0.0)}]
+    floor = confidence_floor_noiseless(cell["testing_size"], cell["confidence_factor"],
+                                       base["jl_constant"])
+    return [{"empirical_coverage": float(np.mean(hits)), "bound_value": floor}]
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +701,10 @@ class _Experiment:
 
     ``grid`` maps each grid key, outermost first, to its default values and
     ``base`` maps each base key to its default; the defaults also fix each
-    key's type (see :func:`_typed`).  ``trial(cell, base, seed)`` runs one
-    trial; ``rows(cell, base, run)`` turns one cell into rows of ``columns``,
+    key's type (see :func:`_typed`).  ``trial(cell, base, seeds)`` runs a
+    chunk of trials, one outcome per seed, and ``chunk(cell, base)`` sizes
+    the chunks; a per-seed trial is lifted by :func:`_each_seed`.
+    ``rows(cell, base, run)`` turns one cell into rows of ``columns``,
     calling ``run()`` for the list of trial outcomes.  ``label`` formats the
     cell into its seed label; ``None`` seeds the experiment without one.
     """
@@ -650,6 +716,7 @@ class _Experiment:
     trial: Callable
     rows: Callable
     label: str | None
+    chunk: Callable = lambda cell, base: 1
 
 
 # The frame scale of error_tracking, which single_frame extends.
@@ -676,16 +743,17 @@ _EXPERIMENTS = {
               "sparsity": (0, 1, 2, 5, 10, 20, 40, 80, 120)},
         base={"signal_length": 200},
         columns=("success_rate", "mean_mse", "status"),
-        trial=_phase_transition_trial,
+        trial=_phase_transition_trials,
         rows=_phase_transition_rows,
         label="{measurements}:{sparsity}",
+        chunk=_phase_transition_chunk,
     ),
     "interval_coverage": _Experiment(
         trials=500,
         grid={"confidence_factor": (0.2, 0.3, 0.4), "testing_size": (20, 40, 60, 80)},
         base={"signal_length": 200, "jl_constant": 1.0},
         columns=("empirical_coverage", "bound_value"),
-        trial=_coverage_trial,
+        trial=functools.partial(_each_seed, _coverage_trial),
         rows=_coverage_rows,
         label="{confidence_factor}:{testing_size}",
     ),
@@ -695,7 +763,7 @@ _EXPERIMENTS = {
         base=_FRAME_BASE,
         columns=("step", "reached", "mean_scaled_rho", "mean_error", "mean_interval_low",
                  "mean_interval_high", "window_fraction", "halted_fraction", "mean_p_final"),
-        trial=_tracking_trial,
+        trial=functools.partial(_each_seed, _tracking_trial),
         rows=_tracking_rows,
         label="v{testing_per_step}",
     ),
@@ -706,7 +774,7 @@ _EXPERIMENTS = {
               "nyquist_rate": 5e9, "testing_per_step": 10, "max_sparsity": 48,
               "error_threshold": 1.0, "confidence_factor": 0.2},
         columns=("success_rate", "baseline_success_rate", "mean_p_final", "baseline_steps"),
-        trial=_acss_trial,
+        trial=functools.partial(_each_seed, _acss_trial),
         rows=_acss_rows,
         label="{sub_nyquist_rate}:{sparsity}",
     ),
@@ -715,7 +783,7 @@ _EXPERIMENTS = {
         grid={"accuracy_factor": (0.6, 0.65, 0.7), "testing_size": tuple(range(10, 101, 10))},
         base={"noise_std": 1.0, "signal_length": 200},
         columns=("noise_std", "halt_probability", "bound_value"),
-        trial=_halting_trial,
+        trial=functools.partial(_each_seed, _halting_trial),
         rows=_halting_rows,
         label="{accuracy_factor}:{testing_size}",
     ),
@@ -725,7 +793,7 @@ _EXPERIMENTS = {
         base={"signal_length": 1000, "training_size": 160, "testing_size": 40,
               "max_sparsity": 80, "accuracy_factor": 0.6, "amplitude_scale": 0.08},
         columns=("mean_mse", "baseline_mse", "mean_iterations"),
-        trial=_sasr_trial,
+        trial=functools.partial(_each_seed, _sasr_trial),
         rows=_sasr_rows,
         label="{sparsity}:{noise_power}",
     ),
@@ -734,7 +802,7 @@ _EXPERIMENTS = {
         grid={},
         base=dict(_FRAME_BASE, testing_per_step=60, band_count=4, detection_threshold=10.0),
         columns=("trial", "p_final", "halted", "saved_slots", "occupied_bands", "mean_mse"),
-        trial=_frame_trial,
+        trial=functools.partial(_each_seed, _frame_trial),
         rows=_frame_rows,
         label=None,
     ),
@@ -752,7 +820,8 @@ def _experiment(name: str) -> _Experiment:
 
 
 def _sweep(cfg: ExperimentConfig) -> ResultTable:
-    """Run every cell of ``cfg``'s grid, outermost key first."""
+    """Run every cell of ``cfg``'s grid, outermost key first, with BLAS on
+    one thread."""
     spec = _EXPERIMENTS[cfg.name]
     base = {key: _typed(cfg.name, f"base {key}", cfg.base.get(key, default), default)
             for key, default in spec.base.items()}
@@ -761,17 +830,19 @@ def _sweep(cfg: ExperimentConfig) -> ResultTable:
             for key, defaults in spec.grid.items()]
     digest = cfg.digest()
     rows = []
-    for cell in map(dict, itertools.product(*axes)):
-        label = () if spec.label is None else (spec.label.format(**cell),)
-        seed_base = stream_seed(cfg.master_seed, cfg.name, *label)
+    with pin_blas_threads():
+        for cell in map(dict, itertools.product(*axes)):
+            label = () if spec.label is None else (spec.label.format(**cell),)
+            seed_base = stream_seed(cfg.master_seed, cfg.name, *label)
 
-        def run():
-            seeds = [stream_seed(seed_base, "trial", t) for t in range(cfg.trials)]
-            return _map_trials(spec.trial, cell, base, seeds, cfg.workers)
+            def run():
+                seeds = [stream_seed(seed_base, "trial", t) for t in range(cfg.trials)]
+                return _map_trials(spec.trial, cell, base, seeds, spec.chunk(cell, base),
+                                   cfg.workers)
 
-        for row in spec.rows(cell, base, run):
-            rows.append({**cell, **row, "trials": cfg.trials, "seed_base": seed_base,
-                         "config_digest": digest})
+            for row in spec.rows(cell, base, run):
+                rows.append({**cell, **row, "trials": cfg.trials, "seed_base": seed_base,
+                             "config_digest": digest})
     schema = (*spec.grid, *spec.columns, "trials", "seed_base", "config_digest")
     return ResultTable(cfg.name, schema, tuple(rows))
 

@@ -23,6 +23,18 @@ baseline can continue a SASR fit instead of redoing it.
 The least-squares refit is maintained incrementally through a thin QR
 factorization of the selected columns, so one iteration costs one pass over
 the dictionary for the correlations plus O(rows * support) for the update.
+The factors live in arrays allocated once for the largest support a run can
+reach, so a pick copies nothing that earlier picks built.
+
+The loop runs a stack of independent trials that share their dimensions:
+every array has a leading trial axis, and a trial retires from the stack
+when one of its stop rules fires.  :func:`omp` and :func:`sasr` are the
+one-trial case of the same loop.  The ``phase_transition`` experiment runs
+its fixed-k trials through it in chunks of about 1 MiB of stacked
+measurement matrices, small enough for the pursuit arrays to stay in cache.
+Every stacked product and reduction computes a trial's slice exactly as a
+one-trial run does, so each result is bit for bit independent of the chunk
+it ran in.
 """
 
 from __future__ import annotations
@@ -47,68 +59,97 @@ __all__ = [
 class FourierDictionary:
     """Matrix-free sensing dictionary ``matrix @ inverse_dft``.
 
+    ``matrix`` is one real (rows, n) measurement matrix, or a (B, rows, n)
+    stack of B trials' matrices; ``shape`` is the per-trial (rows, n) either
+    way.  For a stack, :meth:`correlations` takes a (B, rows) stack of
+    residuals and returns (B, n), and :meth:`column` takes one index per
+    trial and returns a (B, rows) stack of columns.
+
     Correlations A^H g collapse to fft(matrix.T @ g) / n and a single
     column to matrix @ exp(2j pi arange(n) j / n) / n, so pursuit never
     materializes the rows x n complex product.  Only real measurement
     matrices are supported, and every product with the matrix stays in
     real arithmetic: the real and imaginary parts of the residual (or the
     cosine and sine of the column phase) form one two-row real operand, so
-    the matrix is never copied to complex.
+    the matrix is never copied to complex.  A stacked product computes each
+    trial's slice exactly as a one-trial product would.
 
-    Because the matrix is real, column n - j is the conjugate of column j.
-    The dictionary keeps the columns it has built and serves a mirror
-    request by conjugation; columns 0 and n/2 are their own mirrors and are
-    always computed.  One dictionary serves one pursuit, so it holds at most
-    one column per pick.
+    Because the matrix is real, column n - j is the conjugate of column j,
+    so a request for a column whose mirror was built earlier is served by
+    conjugation; columns 0 and n/2 are their own mirrors and are always
+    computed.  A one-trial dictionary keeps the columns it has built and
+    conjugates the kept mirror; one dictionary serves one pursuit, so it
+    holds at most one column per pick.  A stack keeps only the indices it
+    has built, and computes a mirror request at the mirror's index before
+    conjugating it, which gives the kept column's bits without its memory.
     """
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise DimensionError("measurement matrix must be 2-D")
+        if matrix.ndim not in (2, 3):
+            raise DimensionError("measurement matrix must be 2-D, or a 3-D stack of trials")
         if np.iscomplexobj(matrix):
             raise ParameterError("FourierDictionary expects a real matrix")
         self.matrix = matrix
-        self.shape = matrix.shape
-        self._columns: dict[int, np.ndarray] = {}
+        self.shape = matrix.shape[-2:]
+        self.trials = 1 if matrix.ndim == 2 else len(matrix)
+        self._built: list[set[int]] = [set() for _ in range(self.trials)]
+        self._kept: dict[int, np.ndarray] | None = {} if matrix.ndim == 2 else None
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
-        re, im = np.stack([residual.real, residual.imag]) @ self.matrix
-        return np.fft.fft(re + 1j * im) / self.shape[1]
+        operand = np.empty((*residual.shape[:-1], 2, residual.shape[-1]))
+        operand[..., 0, :], operand[..., 1, :] = residual.real, residual.imag
+        parts = operand @ self.matrix
+        return np.fft.fft(parts[..., 0, :] + 1j * parts[..., 1, :]) / self.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
+    def column(self, j) -> np.ndarray:
         n = self.shape[1]
-        mirror = -j % n
-        if mirror != j and mirror in self._columns:
-            return self._columns[mirror].conj()
-        angle = (2 * np.pi * j / n) * np.arange(n)
-        re, im = np.stack([np.cos(angle), np.sin(angle)]) @ self.matrix.T
-        col = (re + 1j * im) / n
-        col.flags.writeable = False
-        self._columns[j] = col
-        return col
+        picks = np.reshape(j, -1).tolist()
+        mirrored = [-p % n != p and -p % n in built for p, built in zip(picks, self._built)]
+        if self._kept is not None and mirrored[0]:
+            cols = self._kept[-picks[0] % n].conj()[None]
+        else:
+            steps = [2 * np.pi * (-p % n if m else p) / n for p, m in zip(picks, mirrored)]
+            angle = np.multiply.outer(steps, np.arange(n))
+            operand = np.empty((len(steps), 2, n))
+            np.cos(angle, out=operand[:, 0])
+            np.sin(angle, out=operand[:, 1])
+            parts = operand @ np.swapaxes(self.matrix, -1, -2)
+            cols = (parts[..., 0, :] + 1j * parts[..., 1, :]) / n
+            if any(mirrored):
+                cols[mirrored] = cols[mirrored].conj()
+        cols.flags.writeable = False
+        for p, built in zip(picks, self._built):
+            built.add(p)
+        if self._kept is not None:
+            self._kept[picks[0]] = cols[0]
+        return cols if np.ndim(j) else cols[0]
 
 
 class _DenseOps:
-    """Adapter giving a dense dictionary the FourierDictionary interface."""
+    """Adapter giving a dense dictionary, or a stack of them, the
+    FourierDictionary interface."""
 
     def __init__(self, dictionary: np.ndarray):
-        self.A = dictionary
-        self.shape = dictionary.shape
+        self.A = dictionary.astype(np.complex128)
+        self.shape = dictionary.shape[-2:]
+        self.trials = 1 if dictionary.ndim == 2 else len(dictionary)
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
-        return self.A.conj().T @ residual
+        return (residual[..., None, :] @ self.A.conj())[..., 0, :]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.A[:, j]
+    def column(self, j) -> np.ndarray:
+        stack = self.A.reshape((-1, *self.shape))
+        cols = np.take_along_axis(stack, np.reshape(j, (-1, 1, 1)), axis=-1)[..., 0]
+        return cols if np.ndim(j) else cols[0]
 
 
 def _as_ops(dictionary):
     if isinstance(dictionary, (FourierDictionary, _DenseOps)):
         return dictionary
     dictionary = np.asarray(dictionary)
-    if dictionary.ndim != 2:
-        raise DimensionError("dictionary must be 2-D")
+    if dictionary.ndim not in (2, 3):
+        raise DimensionError("dictionary must be 2-D, or a 3-D stack of trials")
     return _DenseOps(dictionary)
 
 
@@ -132,89 +173,143 @@ class RecoveryResult:
     rank_deficient: bool = False
 
 
+def _project(Q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Q^H a per trial, for a (B, t, rows) basis stack and (B, rows) vectors.
+
+    Taken as conj(Q @ conj(a)), so no product needs a conjugate copy of Q.
+    """
+    return (Q @ a.conj()[:, :, None])[:, :, 0].conj()
+
+
+def _combine(h: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The combination h @ Q of each trial's basis rows: (B, t) by (B, t, rows)."""
+    return (h[:, None, :] @ Q)[:, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of a C-contiguous (B, rows) complex stack.
+
+    One real dot product per row, so a row's norm has the same bits in a
+    stack of any size (``np.linalg.norm(x, axis=-1)`` differs in the last
+    bits from the norm of the row alone).
+    """
+    parts = x.view(np.float64)[:, None, :]
+    return np.sqrt((parts @ parts.transpose(0, 2, 1))[:, 0, 0])
+
+
 class _IncrementalFit:
-    """Thin-QR least squares over a growing column subset of A."""
+    """Thin-QR least squares over a growing column subset of A, per trial.
 
-    def __init__(self, ops, target: np.ndarray):
+    Every array has a leading trial axis and room for ``capacity`` columns,
+    allocated once: Q holds one orthonormal basis vector per row, R the
+    triangular factor, ``qty`` the projections Q^H y, ``support`` the
+    picked columns (``picked`` flags them by index) and ``trace`` the
+    training residual norm after each.  ``active`` marks the trials still
+    being extended; they all hold ``size`` columns, and a retired trial
+    keeps the ``sizes`` it reached.
+    """
+
+    def __init__(self, ops, targets: np.ndarray, capacity: int):
         self.ops = ops
-        self.y = target.astype(np.complex128)
-        rows = ops.shape[0]
-        self.Q = np.empty((rows, 0), dtype=np.complex128)
-        self.R = np.zeros((0, 0), dtype=np.complex128)
-        self.qty = np.empty(0, dtype=np.complex128)
-        self.support: list[int] = []
+        self.y = np.asarray(targets, dtype=np.complex128)
+        trials, rows = self.y.shape
+        self.Q = np.zeros((trials, capacity, rows), dtype=np.complex128)
+        self.R = np.zeros((trials, capacity, capacity), dtype=np.complex128)
+        self.qty = np.zeros((trials, capacity), dtype=np.complex128)
+        self.support = np.zeros((trials, capacity), dtype=np.intp)
+        self.picked = np.zeros((trials, ops.shape[1]), dtype=bool)
+        self._trials = np.arange(trials)
+        self.trace = np.zeros((trials, capacity))
+        self.size = 0
+        self.sizes = np.zeros(trials, dtype=np.intp)
         self.residual = self.y.copy()
-        self.residual_norm = float(np.linalg.norm(self.y))
-        self.rank_deficient = False
+        self.residual_norm = _norms(self.y)
+        self.rank_deficient = np.zeros(trials, dtype=bool)
+        self.active = np.ones(trials, dtype=bool)
 
-    def try_add(self, j: int) -> bool:
-        """Add column j; False, and flagged, when it is numerically dependent."""
-        a = self.ops.column(j)
-        h1 = self.Q.conj().T @ a
-        q = a - self.Q @ h1
-        # One re-orthogonalization pass keeps Q orthonormal to round-off.
-        h2 = self.Q.conj().T @ q
-        q -= self.Q @ h2
-        nrm = np.linalg.norm(q)
-        if nrm <= 1e-10 * max(np.linalg.norm(a), 1e-300):
-            self.rank_deficient = True
+    def add(self, picks: np.ndarray) -> bool:
+        """Add column ``picks[b]`` to each active trial b.
+
+        A trial whose pick repeats, or is numerically dependent (flagged in
+        ``rank_deficient``), retires instead.  False when none is left.
+        """
+        t = self.size
+        self.active &= ~self.picked[self._trials, picks]
+        if not np.count_nonzero(self.active):
             return False
-        q /= nrm
-        t = len(self.support)
-        new_R = np.zeros((t + 1, t + 1), dtype=np.complex128)
-        new_R[:t, :t] = self.R
-        new_R[:t, t] = h1 + h2
-        new_R[t, t] = nrm
-        self.R = new_R
-        self.Q = np.column_stack([self.Q, q])
-        self.qty = np.append(self.qty, q.conj() @ self.y)
-        self.support.append(j)
-        self.residual = self.y - self.Q @ self.qty
-        self.residual_norm = float(np.linalg.norm(self.residual))
+        a = self.ops.column(picks)
+        Q = self.Q[:, :t]
+        h1 = _project(Q, a)
+        q = a - _combine(h1, Q)
+        # One re-orthogonalization pass keeps Q orthonormal to round-off.
+        h2 = _project(Q, q)
+        q -= _combine(h2, Q)
+        nrm = _norms(q)
+        dependent = self.active & (nrm <= 1e-10 * _norms(a))
+        self.rank_deficient |= dependent
+        self.active &= ~dependent
+        live = np.count_nonzero(self.active)
+        if not live:
+            return False
+        # Write only the active trials; a full slice when all are.
+        act = slice(None) if live == len(self.active) else self.active
+        self.Q[act, t] = q[act] / nrm[act, None]
+        self.R[act, :t, t] = h1[act] + h2[act]
+        self.R[act, t, t] = nrm[act]
+        self.support[act, t] = picks[act]
+        self.picked[self._trials[act], picks[act]] = True
+        Q = self.Q[:, :t + 1]
+        self.qty[act, t] = _project(Q[:, t:], self.y)[act, 0]
+        residual = self.y - _combine(self.qty[:, :t + 1], Q)
+        self.residual[act] = residual[act]
+        self.residual_norm[act] = _norms(residual)[act]
+        self.trace[act, t] = self.residual_norm[act]
+        self.size = t + 1
+        self.sizes[act] = self.size
         return True
 
-    def coefficients(self) -> np.ndarray:
-        if not self.support:
-            return np.empty(0, dtype=np.complex128)
-        return np.linalg.solve(self.R, self.qty)
-
-
-def _best_column(ops, residual: np.ndarray) -> int:
-    # Ties resolve to the lowest index via argmax.
-    return int(np.argmax(np.abs(ops.correlations(residual))))
+    def coefficients(self, b: int) -> np.ndarray:
+        size = self.sizes[b]
+        return np.linalg.solve(self.R[b, :size, :size], self.qty[b, :size])
 
 
 def _pursue(fit: _IncrementalFit, steps: int):
-    """Add up to ``steps`` greedy picks to ``fit``, yielding after each.
+    """Add up to ``steps`` greedy picks to each trial of ``fit``, yielding
+    after each; at a yield ``fit.active`` marks the trials that just added
+    a column.
 
-    Stops early when the training residual reaches its numerical floor, or
-    when the best column repeats or is numerically dependent, which with
+    A trial retires when its training residual reaches its numerical floor,
+    or when its best column repeats or is numerically dependent, which with
     random dictionaries signals the residual has already collapsed to
     numerical noise.  The floor is checked after the yield, so a caller
     still sees the pick that reached it.
     """
     floor = 1e-12 * fit.residual_norm
     for _ in range(steps):
-        j = _best_column(fit.ops, fit.residual)
-        if j in fit.support or not fit.try_add(j):
+        # Ties resolve to the lowest index via argmax.
+        picks = np.argmax(np.abs(fit.ops.correlations(fit.residual)), axis=-1)
+        if not fit.add(picks):
             return
         yield
-        if fit.residual_norm <= floor:
+        fit.active &= fit.residual_norm > floor
+        if not np.count_nonzero(fit.active):
             return
 
 
-def _result(fit: _IncrementalFit, rho_trace, residual_trace, halted_by: str) -> RecoveryResult:
+def _result(fit: _IncrementalFit, b: int, rho_trace, halted_by: str) -> RecoveryResult:
+    size = int(fit.sizes[b])
+    support = fit.support[b, :size]
     bins = np.zeros(fit.ops.shape[1], dtype=np.complex128)
-    if fit.support:
-        bins[fit.support] = fit.coefficients()
+    if size:
+        bins[support] = fit.coefficients(b)
     return RecoveryResult(
         estimate=Spectrum(bins=bins),
-        support=tuple(fit.support),
-        iterations=len(fit.support),
+        support=tuple(support.tolist()),
+        iterations=size,
         rho_trace=tuple(rho_trace),
-        residual_trace=tuple(residual_trace),
+        residual_trace=tuple(fit.trace[b, :size].tolist()),
         halted_by=halted_by,
-        rank_deficient=fit.rank_deficient,
+        rank_deficient=bool(fit.rank_deficient[b]),
     )
 
 
@@ -228,8 +323,8 @@ def _check_k(k: int, rows: int) -> None:
         )
 
 
-def _fixed_k_label(fit: _IncrementalFit, k: int) -> str:
-    return "fixed_k" if len(fit.support) == k else "k_max_exhausted"
+def _fixed_k_label(fit: _IncrementalFit, b: int, k: int) -> str:
+    return "fixed_k" if fit.sizes[b] == k else "k_max_exhausted"
 
 
 def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
@@ -242,12 +337,26 @@ def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
     """
     training = np.asarray(training, dtype=np.complex128)
     ops = _as_ops(dictionary)
+    if ops.trials != 1:
+        raise DimensionError("omp takes one trial's dictionary, not a stack")
     if ops.shape[0] != training.size:
         raise DimensionError("dictionary rows must match training size")
     _check_k(k, ops.shape[0])
-    fit = _IncrementalFit(ops, training)
-    residual_trace = [fit.residual_norm for _ in _pursue(fit, k)]
-    return _result(fit, (), residual_trace, _fixed_k_label(fit, k))
+    return _omp_batch(ops, training[None], k)[0]
+
+
+def _omp_batch(dictionary, training: np.ndarray, k: int) -> list[RecoveryResult]:
+    """:func:`omp` on each trial of a stack, in one pursuit.
+
+    ``training`` is (B, rows) and ``dictionary`` holds the B trials'
+    dictionaries: a stacked :class:`FourierDictionary` or a (B, rows, n)
+    dense stack.  Each result equals the one-trial :func:`omp` run of its
+    trial bit for bit.
+    """
+    fit = _IncrementalFit(_as_ops(dictionary), training, k)
+    for _ in _pursue(fit, k):
+        pass
+    return [_result(fit, b, (), _fixed_k_label(fit, b, k)) for b in range(len(training))]
 
 
 def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult:
@@ -271,7 +380,7 @@ def _sasr_then_omp(measurements: MeasurementSet, halting: HaltingConfig):
     field: both fits use the same training vector, dictionary and stop
     rules apart from the criterion, so SASR's picks are a prefix of OMP's,
     and the baseline keeps stepping SASR's pursuit (with its column cache
-    and residual trace) instead of redoing those picks.
+    and residual norms) instead of redoing those picks.
     """
     A = FourierDictionary(measurements.phi)
     B = FourierDictionary(measurements.psi)
@@ -281,29 +390,32 @@ def _sasr_then_omp(measurements: MeasurementSet, halting: HaltingConfig):
     if v_p < 1:
         raise ParameterError("sasr needs at least one testing measurement")
     halts = halting_rule(halting, measurements.phi.shape[1], v_p)
-    fit = _IncrementalFit(A, y)
-    picks = _pursue(fit, min(halting.max_sparsity, len(y)))
+    capacity = min(halting.max_sparsity, len(y))
+    fit = _IncrementalFit(A, y[None], capacity)
+    picks = _pursue(fit, capacity)
     # The zero estimate may already satisfy the criterion (pure-noise or
     # zero-signal measurements); a zero training vector also leaves the
     # pursuit nothing to do.
     rho_trace = [float(np.abs(testing).sum() / v_p)]
-    residual_trace: list[float] = []
     halted_by = "k_max_exhausted"
     if halts(rho_trace[0]):
         halted_by = "criterion"
-    elif fit.residual_norm > 0.0:
-        testing_columns = np.empty((v_p, 0), dtype=np.complex128)
+    elif fit.residual_norm[0] > 0.0:
+        # The testing dictionary's column of each pick, preallocated like the fit.
+        columns = np.zeros((v_p, capacity), dtype=np.complex128)
         for _ in picks:
-            testing_columns = np.column_stack([testing_columns, B.column(fit.support[-1])])
-            rho_trace.append(float(np.abs(testing - testing_columns @ fit.coefficients()).sum() / v_p))
-            residual_trace.append(fit.residual_norm)
+            t = fit.size
+            columns[:, t - 1] = B.column(int(fit.support[0, t - 1]))
+            estimate = columns[:, :t] @ fit.coefficients(0)
+            rho_trace.append(float(np.abs(testing - estimate).sum() / v_p))
             if halts(rho_trace[-1]):
                 halted_by = "criterion"
                 break
-    yield _result(fit, rho_trace, residual_trace, halted_by)
+    yield _result(fit, 0, rho_trace, halted_by)
     # SASR caps its picks at the training rows; the baseline, like omp,
     # rejects a cap above them instead.
     k = halting.max_sparsity
     _check_k(k, len(y))
-    residual_trace.extend(fit.residual_norm for _ in picks)
-    yield _result(fit, (), residual_trace, _fixed_k_label(fit, k))
+    for _ in picks:
+        pass
+    yield _result(fit, 0, (), _fixed_k_label(fit, 0, k))

@@ -46,6 +46,7 @@ __all__ = [
     "ValidationReport",
     "scaled_validation_parameter",
     "confidence_interval",
+    "confidence_floor_noiseless",
     "testing_size_noiseless",
     "noiseless_threshold",
     "can_halt",
@@ -117,9 +118,8 @@ class HaltingConfig:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Validation parameter with its implied error interval."""
+    """Scaled validation parameter with its implied error interval."""
 
-    rho: float
     scaled_rho: float
     interval_low: float
     interval_high: float
@@ -156,14 +156,19 @@ def confidence_interval(
     if jl_constant <= 0:
         raise ParameterError("jl_constant must be positive")
     scaled = scaled_validation_parameter(rho, n)
-    floor = 1.0 - 4.0 * math.exp(-v_p * eta * eta / jl_constant)
     return ValidationReport(
-        rho=float(rho),
         scaled_rho=scaled,
         interval_low=scaled / (1.0 + eta),
         interval_high=scaled / (1.0 - eta),
-        confidence_floor=min(max(floor, 0.0), 1.0),
+        confidence_floor=confidence_floor_noiseless(v_p, eta, jl_constant),
     )
+
+
+def confidence_floor_noiseless(v_p: int, eta: float, jl_constant: float = 1.0) -> float:
+    """Lower bound 1 - 4 exp(-v_p eta^2 / C) on the interval's coverage,
+    clipped to [0, 1]."""
+    floor = 1.0 - 4.0 * math.exp(-v_p * eta * eta / jl_constant)
+    return min(max(floor, 0.0), 1.0)
 
 
 def testing_size_noiseless(eta: float, xi: float, jl_constant: float = 1.0) -> int:

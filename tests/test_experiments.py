@@ -244,6 +244,25 @@ class TestRunners:
         assert by_k[40]["success_rate"] is None
         assert by_k[40]["mean_mse"] is None
 
+    def test_reduced_default_phase_transition_decisions(self):
+        # The success rates and statuses of the 2-trial default grid, as the
+        # one-trial-at-a-time pursuit computed them before trials were stacked.
+        expected = {
+            20: "1 1 1 .5 0 0 - - -",
+            40: "1 1 1 1 1 .5 0 - -",
+            66: "1 1 1 1 1 1 0 - -",
+            100: "1 1 1 1 1 1 .5 0 -",
+            140: "1 1 1 1 1 1 1 0 0",
+            180: "1 1 1 1 1 1 1 .5 0",
+        }
+        table = run_experiment(default_config("phase_transition", trials=2))
+        for m, rates in expected.items():
+            rows = [row for row in table.rows if row["measurements"] == m]
+            want = [None if rate == "-" else float(rate) for rate in rates.split()]
+            assert [row["success_rate"] for row in rows] == want
+            assert [row["status"] for row in rows] == [
+                "not_applicable" if rate is None else "ok" for rate in want]
+
     def test_interval_coverage_mini(self):
         table = run_experiment(_coverage_cfg())
         assert len(table) == 1
@@ -372,6 +391,17 @@ class TestDeterminism:
         assert serial.to_csv_text() == pooled.to_csv_text()
         assert serial.to_json_text() == pooled.to_json_text()
 
+    def test_phase_transition_bytes_do_not_depend_on_workers_or_chunks(self, monkeypatch):
+        # 13 trials at 100 x 200 run as stacked chunks of 6, 6 and 1
+        cfg = dict(name="phase_transition", trials=13, base={"signal_length": 200},
+                   grid={"measurements": [100], "sparsity": [15, 35]}, master_seed=11)
+        assert experiments._phase_transition_chunk({"measurements": 100},
+                                                   {"signal_length": 200}) == 6
+        serial = run_experiment(ExperimentConfig(**cfg)).to_csv_text()
+        assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
+        monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
+        assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
+
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
     def test_seed_base_derives_from_the_cell_label(self, name):
         cfg = _tiny_cfg(name)
@@ -380,11 +410,11 @@ class TestDeterminism:
         assert set(run_experiment(cfg).column("seed_base")) == {stream_seed(cfg.master_seed, *path)}
 
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
-        # A pursuit-heavy cell whose last digits moved with the BLAS thread
-        # count before the command line pinned BLAS to one thread.
+        # A pursuit-heavy cell whose last digits move with the BLAS thread
+        # count unless BLAS is pinned to one thread.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"name": "sasr_vs_omp", "trials": 4, "master_seed": 5,
-                                   "grid": {"sparsity": [32], "noise_power": [1.0]}}))
+        cfg.write_text(json.dumps({"name": "phase_transition", "trials": 4, "master_seed": 5,
+                                   "grid": {"measurements": [180], "sparsity": [80]}}))
         source = str(Path(widesense.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         outputs = []
@@ -395,14 +425,42 @@ class TestDeterminism:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_in_process_run_matches_the_command_line_and_restores_blas(self, tmp_path):
+        # run_experiment pins BLAS to one thread around its sweep only: under
+        # OPENBLAS_NUM_THREADS=2 its table has the command line's bytes, and
+        # the caller's thread count is back at 2 afterwards.  Unpinned, this
+        # cell's last digits move with the BLAS thread count.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "phase_transition", "trials": 4, "master_seed": 5,
+                                   "grid": {"measurements": [180], "sparsity": [80]}}))
+        script = (
+            "import sys\n"
+            "from widesense import experiments\n"
+            "getter, _ = experiments._blas_threads()\n"
+            "before = getter()\n"
+            "table = experiments.run_experiment(experiments.load_config(sys.argv[1]))\n"
+            "sys.stdout.write(table.to_csv_text())\n"
+            "sys.stderr.write(f'{before} {getter()}')\n"
+        )
+        source = str(Path(widesense.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)
+        in_process = subprocess.run([sys.executable, "-c", script, str(cfg)], capture_output=True,
+                                    env=env, timeout=300, check=True)
+        command = subprocess.run([sys.executable, "-m", "widesense.cli", "run", str(cfg)],
+                                 capture_output=True, env=env, timeout=300, check=True)
+        assert in_process.stdout == command.stdout
+        assert in_process.stderr.decode() == "2 2"
+
     def test_missing_blas_setter_warns(self, monkeypatch):
         monkeypatch.setattr(experiments.glob, "glob", lambda pattern: [])
-        experiments.pin_blas_threads.cache_clear()
+        experiments._blas_threads.cache_clear()
         try:
             with pytest.warns(RuntimeWarning, match="no OpenBLAS thread setter"):
-                experiments.pin_blas_threads()
+                with experiments.pin_blas_threads():
+                    pass
         finally:
-            experiments.pin_blas_threads.cache_clear()
+            experiments._blas_threads.cache_clear()
 
     def test_int_valued_real_is_written_as_float(self):
         table = run_experiment(_tiny_cfg("acss_vs_cs"))

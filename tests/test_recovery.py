@@ -7,7 +7,7 @@ import pytest
 from oracles import (brute_force_l0, least_squares_on_support, sensing_dictionary,
                      validation_parameter)
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
-from widesense.recovery import FourierDictionary, _sasr_then_omp, omp, sasr
+from widesense.recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp, sasr
 from widesense.sensing import acquire
 from widesense.signals import GridSpectrumSpec, GridTone, synthesize_grid_signal
 from widesense.validation import HaltingConfig
@@ -339,6 +339,100 @@ class TestSasrThenOmp:
         assert next(halves).iterations == 8
         with pytest.raises(ParameterError, match="k = 61 exceeds the 60 training rows"):
             next(halves)
+
+
+def _fourier_chunk(rows, n, spectra, seed):
+    """A stack of random (rows, n) matrices and the training rows of each
+    spectrum through its matrix; a None spectrum gives random training rows."""
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((len(spectra), rows, n))
+    training = np.empty((len(spectra), rows), dtype=complex)
+    for b, spectrum in enumerate(spectra):
+        if spectrum is None:
+            training[b] = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        else:
+            training[b] = phi[b] @ np.fft.ifft(spectrum)
+    return phi, training
+
+
+def _sparse_spectrum(n, bins, seed):
+    rng = np.random.default_rng(seed)
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[list(bins)] = rng.standard_normal(len(bins)) + 1j * rng.standard_normal(len(bins))
+    return spectrum
+
+
+class TestBatchInvariance:
+    """Each trial of a stacked pursuit is its own one-trial omp run, bit for bit."""
+
+    @staticmethod
+    def _batch_equals_single(stack, training, k, dictionary):
+        batch = _omp_batch(dictionary(stack), training, k)
+        assert len(batch) == len(training)
+        for b, result in enumerate(batch):
+            _assert_same_result(result, omp(training[b], dictionary(stack[b]), k))
+        return [(r.halted_by, r.iterations, r.rank_deficient) for r in batch]
+
+    def test_fourier_chunk_mixing_the_stop_rules(self):
+        n = 40
+        spectra = [_sparse_spectrum(n, (3, 17), 1), np.zeros(n, dtype=complex), None,
+                   _sparse_spectrum(n, (5, 9, 21, 30, 38), 2), _sparse_spectrum(n, (11,), 3)]
+        phi, training = _fourier_chunk(16, n, spectra, seed=4)
+        outcomes = self._batch_equals_single(phi, training, 5, FourierDictionary)
+        assert outcomes == [
+            ("k_max_exhausted", 2, False),   # residual floor after two picks
+            ("k_max_exhausted", 1, False),   # zero training vector
+            ("fixed_k", 5, False),           # runs to k
+            ("fixed_k", 5, False),           # reaches the floor at the k-th pick
+            ("k_max_exhausted", 1, False),
+        ]
+
+    def test_fourier_chunk_at_full_capacity(self):
+        # k equals the training rows, so the last pick spans them all
+        n = 24
+        spectra = [None, None, _sparse_spectrum(n, (2,), 5), np.zeros(n, dtype=complex)]
+        phi, training = _fourier_chunk(6, n, spectra, seed=6)
+        outcomes = self._batch_equals_single(phi, training, 6, FourierDictionary)
+        assert [o[:2] for o in outcomes] == [("fixed_k", 6), ("fixed_k", 6),
+                                             ("k_max_exhausted", 1), ("k_max_exhausted", 1)]
+
+    def test_fourier_chunk_with_mirror_picks(self):
+        # Real signals pick mirror pairs j, n - j, whose second column the
+        # dictionary serves by conjugation, while the complex trial beside
+        # them has its columns computed in the same stacked call.
+        n = 48
+        real = [_sparse_spectrum(n, (5, 43, 12, 36), seed) for seed in (10, 11)]
+        for spectrum in real:
+            spectrum[43], spectrum[36] = spectrum[5].conj(), spectrum[12].conj()
+        phi, training = _fourier_chunk(20, n, [*real, _sparse_spectrum(n, (7, 30), 12)], seed=13)
+        self._batch_equals_single(phi, training, 6, FourierDictionary)
+        batch = _omp_batch(FourierDictionary(phi), training, 6)
+        assert all(set(r.support) == {5, 12, 36, 43} for r in batch[:2])
+
+    def test_chunk_at_k_zero(self):
+        phi, training = _fourier_chunk(8, 32, [None, np.zeros(32, dtype=complex)], seed=7)
+        outcomes = self._batch_equals_single(phi, training, 0, FourierDictionary)
+        assert outcomes == [("fixed_k", 0, False)] * 2
+
+    def test_dense_chunk_with_a_dependent_pick(self):
+        a = np.ones(4)
+        rng = np.random.default_rng(8)
+        stack = np.stack([np.column_stack([a, 2 * a]), np.column_stack([a, 2 * a]),
+                          rng.standard_normal((4, 2)), rng.standard_normal((4, 2))])
+        training = np.array([[1, 1, 1, 2], a, rng.standard_normal(4), np.zeros(4)],
+                            dtype=complex)
+        outcomes = self._batch_equals_single(stack, training, 2, np.asarray)
+        assert outcomes == [
+            ("k_max_exhausted", 1, True),    # the second pick is dependent
+            ("k_max_exhausted", 1, False),   # the first pick fits exactly
+            ("fixed_k", 2, False),
+            ("k_max_exhausted", 1, False),   # zero training vector
+        ]
+
+    def test_omp_rejects_a_stack(self):
+        phi, training = _fourier_chunk(8, 32, [None, None], seed=9)
+        with pytest.raises(DimensionError):
+            omp(training[0], FourierDictionary(phi), 2)
 
 
 def _assert_same_result(a, b):
