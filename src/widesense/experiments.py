@@ -24,7 +24,7 @@ trial count, its grid and base keys with their default values, the columns
 it adds, a trial function over a chunk of trial seeds, the chunk size and a
 row aggregator.  One loop, ``_sweep``, runs every experiment.
 ``phase_transition`` runs each chunk of trials as one stacked pursuit,
-chunked to about 1 MiB of measurement matrices; the other experiments run
+chunked to at most 800 kB of measurement matrices; the other experiments run
 per seed.  A key's default also fixes its type: an integer default
 takes integers only, a ``None`` default an integer or null, and a float
 default any finite real, converted to float; every value must be >= 0, and
@@ -387,8 +387,10 @@ def _frame_config(base: dict, **overrides) -> FrameConfig:
 
 
 # A phase_transition chunk stacks at most this many bytes of measurement
-# matrices (6 trials at 100 x 200), so its pursuit arrays stay in cache.
-_STACK_BYTES = 1 << 20
+# matrices (5 trials at 100 x 200): enough for the stacked products to pay,
+# and few enough that the chunk's matrices and Q factors, which all sit in
+# memory at once, add little to a run's peak.
+_STACK_BYTES = 800_000
 
 
 def _phase_transition_chunk(cell, base) -> int:
@@ -408,7 +410,9 @@ def _phase_transition_trials(cell, base, seeds):
             support = rng.choice(n, size=k, replace=False)
             spectra[b, support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         rng.standard_normal(out=phi[b])
-        training[b] = phi[b] @ np.fft.ifft(spectra[b])
+        # Real products, so the matrix is never copied to complex.
+        signal = np.fft.ifft(spectra[b]).view(np.float64).reshape(n, 2)
+        np.matmul(phi[b], signal, out=training[b].view(np.float64).reshape(m, 2))
     results = _omp_batch(FourierDictionary(phi), training, k)
     rels = [_relative_sq_error(s, r.estimate.bins) for s, r in zip(spectra, results)]
     return [(rel <= SUCCESS_MSE, rel) for rel in rels]

@@ -30,7 +30,7 @@ The loop runs a stack of independent trials that share their dimensions:
 every array has a leading trial axis, and a trial retires from the stack
 when one of its stop rules fires.  :func:`omp` and :func:`sasr` are the
 one-trial case of the same loop.  The ``phase_transition`` experiment runs
-its fixed-k trials through it in chunks of about 1 MiB of stacked
+its fixed-k trials through it in chunks of at most 800 kB of stacked
 measurement matrices, small enough for the pursuit arrays to stay in cache.
 Every stacked product and reduction computes a trial's slice exactly as a
 one-trial run does, so each result is bit for bit independent of the chunk
@@ -39,6 +39,7 @@ it ran in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +72,16 @@ class FourierDictionary:
     matrices are supported, and every product with the matrix stays in
     real arithmetic: the real and imaginary parts of the residual (or the
     cosine and sine of the column phase) form one two-row real operand, so
-    the matrix is never copied to complex.  A stacked product computes each
-    trial's slice exactly as a one-trial product would.
+    the matrix is never copied to complex.  The phases are looked up in a
+    table of the n roots of unity, built once per n.  A stacked product
+    computes each trial's slice exactly as a one-trial product would.
 
-    Because the matrix is real, column n - j is the conjugate of column j,
-    so a request for a column whose mirror was built earlier is served by
-    conjugation; columns 0 and n/2 are their own mirrors and are always
-    computed.  A one-trial dictionary keeps the columns it has built and
-    conjugates the kept mirror; one dictionary serves one pursuit, so it
-    holds at most one column per pick.  A stack keeps only the indices it
-    has built, and computes a mirror request at the mirror's index before
-    conjugating it, which gives the kept column's bits without its memory.
+    Because the matrix is real, column n - j is the conjugate of column j.
+    The root table holds root n - r as the exact conjugate of root r, so a
+    computed column n - j has the bits of the conjugated column j, and a
+    one-trial dictionary serves a request whose mirror it has built by
+    conjugating the kept mirror.  One dictionary serves one pursuit, so it
+    keeps at most one column per pick; a stack keeps none.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -93,7 +93,6 @@ class FourierDictionary:
         self.matrix = matrix
         self.shape = matrix.shape[-2:]
         self.trials = 1 if matrix.ndim == 2 else len(matrix)
-        self._built: list[set[int]] = [set() for _ in range(self.trials)]
         self._kept: dict[int, np.ndarray] | None = {} if matrix.ndim == 2 else None
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
@@ -104,26 +103,36 @@ class FourierDictionary:
 
     def column(self, j) -> np.ndarray:
         n = self.shape[1]
-        picks = np.reshape(j, -1).tolist()
-        mirrored = [-p % n != p and -p % n in built for p, built in zip(picks, self._built)]
-        if self._kept is not None and mirrored[0]:
-            cols = self._kept[-picks[0] % n].conj()[None]
+        picks = np.reshape(j, -1)
+        kept = self._kept
+        if kept is not None and -int(picks[0]) % n in kept:
+            cols = kept[-int(picks[0]) % n].conj()[None]
         else:
-            steps = [2 * np.pi * (-p % n if m else p) / n for p, m in zip(picks, mirrored)]
-            angle = np.multiply.outer(steps, np.arange(n))
-            operand = np.empty((len(steps), 2, n))
-            np.cos(angle, out=operand[:, 0])
-            np.sin(angle, out=operand[:, 1])
-            parts = operand @ np.swapaxes(self.matrix, -1, -2)
-            cols = (parts[..., 0, :] + 1j * parts[..., 1, :]) / n
-            if any(mirrored):
-                cols[mirrored] = cols[mirrored].conj()
+            phases = np.take(_unit_roots(n), np.multiply.outer(picks, np.arange(n)) % n, axis=1)
+            parts = np.swapaxes(phases, 0, 1) @ np.swapaxes(self.matrix, -1, -2)
+            cols = parts[..., 0, :] + 1j * parts[..., 1, :]
         cols.flags.writeable = False
-        for p, built in zip(picks, self._built):
-            built.add(p)
-        if self._kept is not None:
-            self._kept[picks[0]] = cols[0]
+        if kept is not None:
+            kept[int(picks[0])] = cols[0]
         return cols if np.ndim(j) else cols[0]
+
+
+@functools.lru_cache(maxsize=2)
+def _unit_roots(n: int) -> np.ndarray:
+    """The cosines and sines of 2 pi r / n over n, a read-only (2, n) array.
+
+    Roots up to r = n / 2 are computed, with exp(1j pi) set to exactly -1;
+    root n - r is then the conjugate of root r, bit for bit.  Tables for the
+    last two lengths are kept: a pursuit's training and testing dictionaries
+    share one length.
+    """
+    half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    if n % 2 == 0:
+        half[-1] = -1.0
+    roots = np.concatenate([half, half[1:(n + 1) // 2][::-1].conj()]) / n
+    table = np.stack([roots.real, roots.imag])
+    table.flags.writeable = False
+    return table
 
 
 class _DenseOps:
@@ -187,14 +196,13 @@ def _combine(h: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Row norms of a C-contiguous (B, rows) complex stack.
+    """Row norms of a (B, rows) complex stack.
 
-    One real dot product per row, so a row's norm has the same bits in a
+    One BLAS dot product per row, so a row's norm has the same bits in a
     stack of any size (``np.linalg.norm(x, axis=-1)`` differs in the last
     bits from the norm of the row alone).
     """
-    parts = x.view(np.float64)[:, None, :]
-    return np.sqrt((parts @ parts.transpose(0, 2, 1))[:, 0, 0])
+    return np.sqrt(np.vecdot(x, x).real)
 
 
 class _IncrementalFit:
@@ -211,7 +219,7 @@ class _IncrementalFit:
 
     def __init__(self, ops, targets: np.ndarray, capacity: int):
         self.ops = ops
-        self.y = np.asarray(targets, dtype=np.complex128)
+        self.y = np.ascontiguousarray(targets, dtype=np.complex128)
         trials, rows = self.y.shape
         self.Q = np.zeros((trials, capacity, rows), dtype=np.complex128)
         self.R = np.zeros((trials, capacity, capacity), dtype=np.complex128)
@@ -235,15 +243,16 @@ class _IncrementalFit:
         """
         t = self.size
         self.active &= ~self.picked[self._trials, picks]
-        if not np.count_nonzero(self.active):
+        if not self.active.any():
             return False
         a = self.ops.column(picks)
         Q = self.Q[:, :t]
-        h1 = _project(Q, a)
-        q = a - _combine(h1, Q)
+        h = _project(Q, a)
+        q = a - _combine(h, Q)
         # One re-orthogonalization pass keeps Q orthonormal to round-off.
         h2 = _project(Q, q)
         q -= _combine(h2, Q)
+        h += h2
         nrm = _norms(q)
         dependent = self.active & (nrm <= 1e-10 * _norms(a))
         self.rank_deficient |= dependent
@@ -253,17 +262,16 @@ class _IncrementalFit:
             return False
         # Write only the active trials; a full slice when all are.
         act = slice(None) if live == len(self.active) else self.active
-        self.Q[act, t] = q[act] / nrm[act, None]
-        self.R[act, :t, t] = h1[act] + h2[act]
+        q = q[act] / nrm[act, None]
+        self.Q[act, t] = q
+        self.R[act, :t, t] = h[act]
         self.R[act, t, t] = nrm[act]
         self.support[act, t] = picks[act]
         self.picked[self._trials[act], picks[act]] = True
-        Q = self.Q[:, :t + 1]
-        self.qty[act, t] = _project(Q[:, t:], self.y)[act, 0]
-        residual = self.y - _combine(self.qty[:, :t + 1], Q)
-        self.residual[act] = residual[act]
-        self.residual_norm[act] = _norms(residual)[act]
-        self.trace[act, t] = self.residual_norm[act]
+        self.qty[act, t] = np.vecdot(q, self.y[act])
+        residual = self.y[act] - _combine(self.qty[act, :t + 1], self.Q[act, :t + 1])
+        self.residual[act] = residual
+        self.residual_norm[act] = self.trace[act, t] = _norms(residual)
         self.size = t + 1
         self.sizes[act] = self.size
         return True

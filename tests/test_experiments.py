@@ -392,11 +392,11 @@ class TestDeterminism:
         assert serial.to_json_text() == pooled.to_json_text()
 
     def test_phase_transition_bytes_do_not_depend_on_workers_or_chunks(self, monkeypatch):
-        # 13 trials at 100 x 200 run as stacked chunks of 6, 6 and 1
+        # 13 trials at 100 x 200 run as stacked chunks of 5, 5 and 3
         cfg = dict(name="phase_transition", trials=13, base={"signal_length": 200},
                    grid={"measurements": [100], "sparsity": [15, 35]}, master_seed=11)
         assert experiments._phase_transition_chunk({"measurements": 100},
-                                                   {"signal_length": 200}) == 6
+                                                   {"signal_length": 200}) == 5
         serial = run_experiment(ExperimentConfig(**cfg)).to_csv_text()
         assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
         monkeypatch.setattr(experiments, "_STACK_BYTES", 1)

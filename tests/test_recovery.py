@@ -8,7 +8,7 @@ from oracles import (brute_force_l0, least_squares_on_support, sensing_dictionar
                      validation_parameter)
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
 from widesense.recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp, sasr
-from widesense.sensing import acquire
+from widesense.sensing import MeasurementSet, acquire
 from widesense.signals import GridSpectrumSpec, GridTone, synthesize_grid_signal
 from widesense.validation import HaltingConfig
 
@@ -55,6 +55,20 @@ class TestFourierDictionary:
             for residual in (complex_residual, real_residual):
                 np.testing.assert_allclose(ops.correlations(residual),
                                            dense.conj().T @ residual, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_mirror_columns_are_exact_conjugates(self, n):
+        # Computed afresh, column n - j equals conjugated column j exactly
+        # (the real columns 0 and n / 2 only up to the sign of a zero), so
+        # serving a mirror from the kept column changes no value.
+        phi = np.random.default_rng(3).standard_normal((5, n))
+        for j in range(n):
+            direct = FourierDictionary(phi).column(-j % n)
+            mirrored = FourierDictionary(phi).column(j).conj()
+            assert np.array_equal(direct, mirrored), j
+            ops = FourierDictionary(phi)
+            ops.column(j)
+            assert np.array_equal(ops.column(-j % n), mirrored), j
 
     @pytest.mark.parametrize("method", ["correlations", "column"])
     def test_products_do_not_copy_the_matrix(self, method):
@@ -117,6 +131,15 @@ class TestOmp:
             omp(np.ones(4, dtype=complex), np.eye(4), -1)
         with pytest.raises(ParameterError):
             omp(np.ones(4, dtype=complex), np.eye(4), 5)
+
+    def test_strided_training_vector(self):
+        x, phi, _ = _sparse_problem(seed=3)
+        wide = np.zeros((60, 2), dtype=complex)
+        wide[:, 0] = phi @ x.samples
+        strided = wide[:, 0]
+        assert not strided.flags.c_contiguous
+        _assert_same_result(omp(strided, FourierDictionary(phi), 8),
+                            omp(strided.copy(), FourierDictionary(phi), 8))
 
     def test_collapsed_residual_stops_early(self):
         # two proportional columns: the second pick is rank deficient
@@ -201,6 +224,15 @@ class TestSasr:
         assert len(result.rho_trace) == result.iterations + 1
         assert len(result.residual_trace) == result.iterations
         assert result.rho_trace[-1] < result.rho_trace[0]
+
+    def test_strided_training_vector(self):
+        x, phi, psi = _sparse_problem()
+        ms = acquire(x, phi, psi)
+        wide = np.zeros((len(ms.training), 2), dtype=complex)
+        wide[:, 0] = ms.training
+        strided = MeasurementSet(wide[:, 0], ms.testing, ms.phi, ms.psi)
+        assert not strided.training.flags.c_contiguous
+        _assert_same_result(sasr(strided, _noiseless_halting()), sasr(ms, _noiseless_halting()))
 
     def test_min_testing_gate_blocks_halting(self):
         x, phi, psi = _sparse_problem()
@@ -397,9 +429,9 @@ class TestBatchInvariance:
                                              ("k_max_exhausted", 1), ("k_max_exhausted", 1)]
 
     def test_fourier_chunk_with_mirror_picks(self):
-        # Real signals pick mirror pairs j, n - j, whose second column the
-        # dictionary serves by conjugation, while the complex trial beside
-        # them has its columns computed in the same stacked call.
+        # Real signals pick mirror pairs j, n - j: a one-trial run serves the
+        # second column by conjugating the first, while the stack computes
+        # every column, the complex trial's beside the real ones.
         n = 48
         real = [_sparse_spectrum(n, (5, 43, 12, 36), seed) for seed in (10, 11)]
         for spectrum in real:
