@@ -78,10 +78,12 @@ class FourierDictionary:
 
     Because the matrix is real, column n - j is the conjugate of column j.
     The root table holds root n - r as the exact conjugate of root r, so a
-    computed column n - j has the bits of the conjugated column j, and a
-    one-trial dictionary serves a request whose mirror it has built by
-    conjugating the kept mirror.  One dictionary serves one pursuit, so it
-    keeps at most one column per pick; a stack keeps none.
+    computed column n - j equals the conjugated column j.  A one-trial
+    dictionary keeps each column it computes until its mirror is asked
+    for, then serves the mirror by conjugation and drops the kept column:
+    a pursuit never picks a column twice, and the picks of a real signal
+    come in mirror pairs, so few columns are kept at once.  A stack keeps
+    none.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -105,15 +107,16 @@ class FourierDictionary:
         n = self.shape[1]
         picks = np.reshape(j, -1)
         kept = self._kept
-        if kept is not None and -int(picks[0]) % n in kept:
-            cols = kept[-int(picks[0]) % n].conj()[None]
+        mirror = kept.pop(-int(picks[0]) % n, None) if kept is not None else None
+        if mirror is not None:
+            cols = mirror.conj()[None]
         else:
             phases = np.take(_unit_roots(n), np.multiply.outer(picks, np.arange(n)) % n, axis=1)
             parts = np.swapaxes(phases, 0, 1) @ np.swapaxes(self.matrix, -1, -2)
             cols = parts[..., 0, :] + 1j * parts[..., 1, :]
+            if kept is not None:
+                kept[int(picks[0])] = cols[0]
         cols.flags.writeable = False
-        if kept is not None:
-            kept[int(picks[0])] = cols[0]
         return cols if np.ndim(j) else cols[0]
 
 
