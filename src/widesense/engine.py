@@ -7,12 +7,12 @@ halts as soon as the validation criterion fires, banking the remaining
 steps for data transmission; if the budget runs out first the outcome
 carries a recommendation to raise the sampling rate next frame.
 
-Every step draws its matrices and noise from seeds of its own, so no step
-depends on another.  :func:`run_frame` therefore acquires and recovers only
-the steps where the halting rule can fire (enough testing rows for
-``min_testing``) and the last step of the budget: a closed step cannot halt
-the frame, so skipping it leaves the outcome unchanged.
-:func:`iter_frame_steps` still runs every step, for callers that read each.
+One private generator is the frame loop: each step synthesises its window,
+draws its matrices and noise from seeds of its own, acquires and recovers.
+No step depends on another, so :func:`run_frame` skips the steps where the
+halting rule cannot fire (too few testing rows for ``min_testing``) but the
+last: a closed step cannot halt the frame, so the outcome is unchanged.
+:func:`iter_frame_steps` runs every step and yields each with its window.
 
 Spectral occupancy decisions come from per-band energy detection on the
 final estimate.
@@ -203,35 +203,43 @@ def _check_spec(spec, frame: FrameConfig) -> None:
         )
 
 
-def _frame_step(spec, frame: FrameConfig, halting: HaltingConfig,
-                master_seed: int, p: int):
-    """Acquire and recover step ``p``; return ``(measurements, recovery)``."""
+def _frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
+                 master_seed: int, skip_closed: bool):
+    """The frame loop: yield ``(p, window, measurements, recovery)`` per step.
+
+    With ``skip_closed`` a step before the last is not run at all where
+    :func:`~widesense.validation.can_halt` denies its testing rows.
+    """
+    _check_spec(spec, frame)
     v = frame.testing_per_step
-    ts = signal_time_series(spec, p * frame.time_step)
-    cols = p * frame.nyquist_per_step
-    phi = draw_matrix((frame.measurements_per_step - v) * p, cols,
-                      stream_seed(master_seed, "phi", p))
-    psi = draw_matrix(v * p, cols, stream_seed(master_seed, "psi", p))
+    p_max = max_steps(frame)
     delta = halting.noise_std if halting.mode == "noisy" else 0.0
-    ms = acquire(ts, phi, psi, noise_std=delta,
-                 noise_seed=stream_seed(master_seed, "noise", p))
-    return ms, sasr(ms, halting)
+    for p in range(1, p_max + 1):
+        if skip_closed and p < p_max and not can_halt(halting, v * p):
+            continue
+        window = signal_time_series(spec, p * frame.time_step)
+        cols = p * frame.nyquist_per_step
+        phi = draw_matrix((frame.measurements_per_step - v) * p, cols,
+                          stream_seed(master_seed, "phi", p))
+        psi = draw_matrix(v * p, cols, stream_seed(master_seed, "psi", p))
+        ms = acquire(window, phi, psi, noise_std=delta,
+                     noise_seed=stream_seed(master_seed, "noise", p))
+        recovery = sasr(ms, halting)
+        yield p, window, ms, recovery
+        if recovery.halted_by == "criterion":
+            return
 
 
 def iter_frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
                      master_seed: int):
-    """Yield ``(p, measurements, recovery)`` per step until halt or budget.
+    """Yield ``(p, window, measurements, recovery)`` per step until halt or budget.
 
-    Measurement matrices are drawn fresh each step (standard normal), with
-    per-step noise when the halting mode is "noisy".  The generator stops
-    after the step whose recovery reports ``halted_by == "criterion"``.
+    ``window`` is the time series the step acquires, the signal over its
+    first ``p`` steps.  Matrices are drawn fresh each step (standard
+    normal), with per-step noise when the halting mode is "noisy"; the
+    generator stops after the step whose recovery halts on the criterion.
     """
-    _check_spec(spec, frame)
-    for p in range(1, max_steps(frame) + 1):
-        ms, recovery = _frame_step(spec, frame, halting, master_seed, p)
-        yield p, ms, recovery
-        if recovery.halted_by == "criterion":
-            return
+    yield from _frame_steps(spec, frame, halting, master_seed, False)
 
 
 def run_frame(spec, frame: FrameConfig, halting: HaltingConfig,
@@ -239,20 +247,12 @@ def run_frame(spec, frame: FrameConfig, halting: HaltingConfig,
     """Run one complete sensing frame and decide band occupancy.
 
     The outcome is the one the last step of :func:`iter_frame_steps`
-    gives, but a step is acquired and recovered only where the halting
-    rule can fire (:func:`~widesense.validation.can_halt` on its
-    ``testing_per_step * p`` testing rows) or where the budget ends.  A
-    closed step cannot halt the frame, and no later step reads its draws,
-    so skipping it changes nothing; its slots still count as spent.
+    gives, but only the steps where the halting rule can fire, and the last
+    of the budget, are run; the skipped slots still count as spent.
     """
-    _check_spec(spec, frame)
     p_max = max_steps(frame)
-    for p in range(1, p_max + 1):
-        if p < p_max and not can_halt(halting, frame.testing_per_step * p):
-            continue
-        _, recovery = _frame_step(spec, frame, halting, master_seed, p)
-        if recovery.halted_by == "criterion":
-            break
+    for p, _, _, recovery in _frame_steps(spec, frame, halting, master_seed, True):
+        pass
     halted = recovery.halted_by == "criterion"
     bins = recovery.estimate.bins
     estimate = Spectrum(bins=bins,

@@ -498,8 +498,8 @@ def _tracking_trial(cell, base, seed):
     eta = base["confidence_factor"]
     records = []
     p_final = 0
-    for p, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
-        truth = np.fft.fft(signal_time_series(spec, p * frame.time_step).samples)
+    for p, window, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
+        truth = np.fft.fft(window.samples)
         error = float(np.linalg.norm(truth - recovery.estimate.bins))
         report = confidence_interval(recovery.rho_trace[-1], p * frame.nyquist_per_step, eta, v * p)
         halted = recovery.halted_by == "criterion"
@@ -554,9 +554,9 @@ def _acss_trial(cell, base, seed):
     )
     budget = max_steps(frame)
     adaptive_ok, p_used = False, budget
-    for p, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
+    for p, window, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
         if recovery.halted_by == "criterion":
-            truth = np.fft.fft(signal_time_series(spec, p * frame.time_step).samples)
+            truth = np.fft.fft(window.samples)
             adaptive_ok = _relative_sq_error(truth, recovery.estimate.bins) <= SUCCESS_MSE
             p_used = p
     # single-shot baseline: the whole frame budget, every row spent on training

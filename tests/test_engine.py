@@ -18,7 +18,13 @@ from widesense.engine import (
     uniform_bands,
 )
 from widesense.errors import InvalidSpecError, ParameterError
-from widesense.signals import GridSpectrumSpec, GridTone, Spectrum, WidebandSignalSpec
+from widesense.signals import (
+    GridSpectrumSpec,
+    GridTone,
+    Spectrum,
+    WidebandSignalSpec,
+    signal_time_series,
+)
 from widesense.validation import HaltingConfig
 
 
@@ -152,10 +158,13 @@ class TestIterFrameSteps:
     def test_step_shapes_grow_linearly(self):
         frame = _frame()
         seen = []
-        for p, ms, _ in iter_frame_steps(FOUR_TONES, frame, _halting(min_testing=10_000), 5):
+        for p, window, ms, _ in iter_frame_steps(FOUR_TONES, frame, _halting(min_testing=10_000), 5):
             seen.append(p)
             assert ms.phi.shape == (30 * p, 200 * p)
             assert ms.psi.shape == (10 * p, 200 * p)
+            assert len(window) == 200 * p
+            expected = signal_time_series(FOUR_TONES, p * frame.time_step)
+            assert np.array_equal(window.samples, expected.samples)
             if p == 3:
                 break
         assert seen == [1, 2, 3]
@@ -163,14 +172,14 @@ class TestIterFrameSteps:
     def test_stops_after_criterion(self):
         frame = _frame()
         steps = list(iter_frame_steps(FOUR_TONES, frame, _halting(), 7))
-        assert steps[-1][2].halted_by == "criterion"
-        assert all(rec.halted_by != "criterion" for _, _, rec in steps[:-1])
+        assert steps[-1][3].halted_by == "criterion"
+        assert all(rec.halted_by != "criterion" for _, _, _, rec in steps[:-1])
 
     def test_fresh_matrices_each_step(self):
         frame = _frame()
         it = iter_frame_steps(FOUR_TONES, frame, _halting(min_testing=10_000), 5)
-        _, ms1, _ = next(it)
-        _, ms2, _ = next(it)
+        _, _, ms1, _ = next(it)
+        _, _, ms2, _ = next(it)
         assert not np.array_equal(ms1.phi[:, :200], ms2.phi[:30, :200])
 
     def test_rejects_mismatched_signal(self):
@@ -250,7 +259,7 @@ class TestRunFrame:
     ], ids=["no-gate", "gate-opens-mid-budget", "gate-never-opens", "noisy-gate"])
     def test_recovers_only_where_the_gate_is_open(self, monkeypatch, halting):
         frame, det = _frame(), DetectorConfig(uniform_bands(2.5e9, 4), 0.5)
-        p_final, _, reference = list(iter_frame_steps(FOUR_TONES, frame, halting, 7))[-1]
+        p_final, _, _, reference = list(iter_frame_steps(FOUR_TONES, frame, halting, 7))[-1]
         bins = reference.estimate.bins
         estimate = Spectrum(bins=bins, bin_resolution=frame.nyquist_rate / len(bins))
         decisions = tuple(BandDecision(lo, hi, *energy_detect(estimate, (lo, hi), 0.5))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import widesense
-from widesense import experiments
+from widesense import engine, experiments
 from widesense.cli import main
 from widesense.errors import InvalidSpecError, ParameterError
 from widesense.experiments import (
@@ -302,6 +302,25 @@ class TestRunners:
         assert by_k[0]["baseline_success_rate"] == 1.0
         assert by_k[0]["mean_p_final"] == 1.0
         assert all(row["baseline_steps"] == 8 for row in table.rows)
+
+    @pytest.mark.parametrize("name, overrides, own_calls", [
+        ("error_tracking", {"base": dict(TRACKING_MINI, min_testing=30)}, 0),
+        ("acss_vs_cs", {}, 1),
+    ], ids=["error_tracking", "acss_vs_cs"])
+    def test_frame_trials_synthesise_each_window_once(self, monkeypatch, name, overrides,
+                                                      own_calls):
+        # The trials take their truth from the window each frame step yields;
+        # only the full-budget acss_vs_cs baseline synthesises a signal itself.
+        calls = {engine: 0, experiments: 0}
+        for module in calls:
+            def counting(spec, duration, module=module, original=module.signal_time_series):
+                calls[module] += 1
+                return original(spec, duration)
+            monkeypatch.setattr(module, "signal_time_series", counting)
+        table = run_experiment(_tiny_cfg(name, trials=1, **overrides))
+        steps = len(table) if name == "error_tracking" else table.rows[0]["mean_p_final"]
+        assert calls[engine] == steps >= 2
+        assert calls[experiments] == own_calls
 
     def test_halting_probability_mini(self):
         cfg = ExperimentConfig(

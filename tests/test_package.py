@@ -1,10 +1,11 @@
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-MODULES = ("widesense", "widesense.engine", "widesense.experiments", "widesense.recovery",
+MODULES = ("widesense.engine", "widesense.experiments", "widesense.recovery",
            "widesense.sensing", "widesense.signals", "widesense.validation")
 
 
@@ -13,6 +14,16 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_root_holds_only_the_version():
+    # names are imported from their modules, never from the package root
+    import widesense
+
+    names = [n for n, value in vars(widesense).items()
+             if not n.startswith("__") and not inspect.ismodule(value)]
+    assert names == []
+    assert widesense.__version__
 
 
 def test_spec_errors_are_parameter_errors():
@@ -32,11 +43,11 @@ def test_every_benchmark_trace_target_exists():
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    original = widesense.sasr
+    original = widesense.recovery.sasr
     tracer = tracing.Tracer(widesense)
     tracer.install()
     try:
         assert tracer.missing == []
     finally:
         tracer.remove()
-    assert widesense.sasr is original
+    assert widesense.recovery.sasr is original
