@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import RecoveryResult, sasr
 from .rng import stream_seed
-from .sensing import acquire, draw_matrix
+from .sensing import acquire
 from .signals import (
     GridSpectrumSpec,
     Spectrum,
@@ -218,12 +218,9 @@ def _frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
         if skip_closed and p < p_max and not can_halt(halting, v * p):
             continue
         window = signal_time_series(spec, p * frame.time_step)
-        cols = p * frame.nyquist_per_step
-        phi = draw_matrix((frame.measurements_per_step - v) * p, cols,
-                          stream_seed(master_seed, "phi", p))
-        psi = draw_matrix(v * p, cols, stream_seed(master_seed, "psi", p))
-        ms = acquire(window, phi, psi, noise_std=delta,
-                     noise_seed=stream_seed(master_seed, "noise", p))
+        ms = acquire(window, (frame.measurements_per_step - v) * p, v * p,
+                     stream_seed(master_seed, "phi", p), stream_seed(master_seed, "psi", p),
+                     noise_std=delta, noise_seed=stream_seed(master_seed, "noise", p))
         recovery = sasr(ms, halting)
         yield p, window, ms, recovery
         if recovery.halted_by == "criterion":

@@ -42,7 +42,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import hashlib
 import itertools
 import json
 import math
@@ -52,13 +51,23 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
+# hashlib loads OpenSSL, which costs several MB of resident memory; the
+# interpreter's own SHA-256 gives the same digest (as in CPython's random.py).
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 import numpy as np
 
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp
 from .rng import stream_seed
-from .sensing import acquire
+from .sensing import acquire, draw_operator
 from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
 from .validation import (
     HaltingConfig,
@@ -136,7 +145,7 @@ class ExperimentConfig:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        return _sha256(payload.encode("utf-8")).hexdigest()[:12]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -386,9 +395,9 @@ def _frame_config(base: dict, **overrides) -> FrameConfig:
 # phase transition
 
 
-# A phase_transition chunk stacks at most this many bytes of measurement
-# matrices (5 trials at 100 x 200): enough for the stacked products to pay,
-# and few enough that the chunk's matrices and Q factors, which all sit in
+# A phase_transition chunk stacks about this many bytes of dictionaries
+# (5 trials at 100 x 200): enough for the stacked products to pay, and few
+# enough that the chunk's dictionaries and Q factors, which all sit in
 # memory at once, add little to a run's peak.
 _STACK_BYTES = 800_000
 
@@ -402,18 +411,18 @@ def _phase_transition_trials(cell, base, seeds):
     recovered by one stacked fixed-k pursuit."""
     m, k, n = cell["measurements"], cell["sparsity"], base["signal_length"]
     spectra = np.zeros((len(seeds), n), dtype=complex)
-    phi = np.empty((len(seeds), m, n))
+    dictionaries = np.empty((len(seeds), m, n // 2 + 1), dtype=complex)
     training = np.empty((len(seeds), m), dtype=complex)
     for b, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         if k:
             support = rng.choice(n, size=k, replace=False)
             spectra[b, support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        rng.standard_normal(out=phi[b])
-        # Real products, so the matrix is never copied to complex.
+        # The real and imaginary parts of the signal as one real operand.
         signal = np.fft.ifft(spectra[b]).view(np.float64).reshape(n, 2)
-        np.matmul(phi[b], signal, out=training[b].view(np.float64).reshape(m, 2))
-    results = _omp_batch(FourierDictionary(phi), training, k)
+        draw_operator(signal, m, rng, training[b].view(np.float64).reshape(m, 2),
+                      dictionaries[b])
+    results = _omp_batch(FourierDictionary.from_spectra(dictionaries, n), training, k)
     rels = [_relative_sq_error(s, r.estimate.bins) for s, r in zip(spectra, results)]
     return [(rel <= SUCCESS_MSE, rel) for rel in rels]
 
@@ -560,10 +569,11 @@ def _acss_trial(cell, base, seed):
             adaptive_ok = _relative_sq_error(truth, recovery.estimate.bins) <= SUCCESS_MSE
             p_used = p
     # single-shot baseline: the whole frame budget, every row spent on training
-    rng_cs = np.random.default_rng(stream_seed(seed, "baseline"))
-    phi = rng_cs.standard_normal((frame.measurements_per_step * budget, n_ref * budget))
     x = signal_time_series(spec, budget * frame.time_step).samples
-    baseline = omp(phi @ x, FourierDictionary(phi), base["max_sparsity"])
+    training, dictionary = draw_operator(x, frame.measurements_per_step * budget,
+                                         stream_seed(seed, "baseline"))
+    baseline = omp(training, FourierDictionary.from_spectra(dictionary, len(x)),
+                   base["max_sparsity"])
     truth = np.fft.fft(x)
     baseline_ok = _relative_sq_error(truth, baseline.estimate.bins) <= SUCCESS_MSE
     return adaptive_ok, baseline_ok, p_used
@@ -638,10 +648,8 @@ def _sasr_trial(cell, base, seed):
     )
     x = signal_time_series(spec, 1.0)
     truth = np.fft.fft(x.samples)
-    phi = rng.standard_normal((base["training_size"], n))
-    psi = rng.standard_normal((base["testing_size"], n))
-    measurements = acquire(x, phi, psi, noise_std=delta,
-                           noise_seed=stream_seed(seed, "noise"))
+    measurements = acquire(x, base["training_size"], base["testing_size"], rng, rng,
+                           noise_std=delta, noise_seed=stream_seed(seed, "noise"))
     halting = HaltingConfig(
         mode="noisy",
         max_sparsity=base["max_sparsity"],

@@ -20,18 +20,22 @@ Because the stop rules agree apart from the criterion, SASR's picks are a
 prefix of exhaustive OMP's on the same measurements, so an exhaustive
 baseline can continue a SASR fit instead of redoing it.
 
-The least-squares refit is maintained incrementally through a thin QR
-factorization of the selected columns, so one iteration costs one pass over
-the dictionary for the correlations plus O(rows * support) for the update.
-The factors live in arrays allocated once for the largest support a run can
-reach, so a pick copies nothing that earlier picks built.
+The dictionary (:class:`FourierDictionary`) holds the measurement matrix
+in the spectral domain, as the real-input DFT of each row, so the
+correlations of a pick are one real matrix product with no FFT and the
+picked column is a read of ``rows`` entries.  The least-squares refit is
+maintained incrementally through a thin QR factorization of the selected
+columns, so one iteration costs one pass over the dictionary for the
+correlations plus O(rows * support) for the update.  The factors live in
+arrays allocated once for the largest support a run can reach, so a pick
+copies nothing that earlier picks built.
 
 The loop runs a stack of independent trials that share their dimensions:
 every array has a leading trial axis, and a trial retires from the stack
 when one of its stop rules fires.  :func:`omp` and :func:`sasr` are the
 one-trial case of the same loop.  The ``phase_transition`` experiment runs
-its fixed-k trials through it in chunks of at most 800 kB of stacked
-measurement matrices, small enough for the pursuit arrays to stay in cache.
+its fixed-k trials through it in chunks of about 800 kB of stacked
+dictionaries, small enough for the pursuit arrays to stay in cache.
 Every stacked product and reduction computes a trial's slice exactly as a
 one-trial run does, so each result is bit for bit independent of the chunk
 it ran in.
@@ -39,15 +43,17 @@ it ran in.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .sensing import MeasurementSet
-from .signals import Spectrum
+from .signals import Spectrum, _frozen
 from .validation import HaltingConfig, halting_rule
+
+if TYPE_CHECKING:
+    from .sensing import MeasurementSet
 
 __all__ = [
     "RecoveryResult",
@@ -58,32 +64,28 @@ __all__ = [
 
 
 class FourierDictionary:
-    """Matrix-free sensing dictionary ``matrix @ inverse_dft``.
+    """Sensing dictionary ``matrix @ inverse_dft``, held in the spectral domain.
 
-    ``matrix`` is one real (rows, n) measurement matrix, or a (B, rows, n)
-    stack of B trials' matrices; ``shape`` is the per-trial (rows, n) either
-    way.  For a stack, :meth:`correlations` takes a (B, rows) stack of
-    residuals and returns (B, n), and :meth:`column` takes one index per
-    trial and returns a (B, rows) stack of columns.
+    For a real (rows, n) measurement matrix the dictionary keeps only
+    ``spectra = np.fft.rfft(matrix, axis=-1)``: rows x (n // 2 + 1) complex
+    numbers, the bytes of the matrix plus 16 per row.  ``matrix`` may also
+    be a (B, rows, n) stack of B trials' matrices; ``shape`` is the
+    per-trial (rows, n) either way.  For a stack, :meth:`correlations`
+    takes a (B, rows) stack of residuals and returns (B, n), and
+    :meth:`column` takes one index per trial and returns a (B, rows) stack
+    of columns.  :meth:`from_spectra` wraps spectra built elsewhere, so the
+    matrix itself need never be held whole (see
+    :func:`widesense.sensing.draw_operator`).
 
-    Correlations A^H g collapse to fft(matrix.T @ g) / n and a single
-    column to matrix @ exp(2j pi arange(n) j / n) / n, so pursuit never
-    materializes the rows x n complex product.  Only real measurement
-    matrices are supported, and every product with the matrix stays in
-    real arithmetic: the real and imaginary parts of the residual (or the
-    cosine and sine of the column phase) form one two-row real operand, so
-    the matrix is never copied to complex.  The phases are looked up in a
-    table of the n roots of unity, built once per n.  A stacked product
-    computes each trial's slice exactly as a one-trial product would.
-
-    Because the matrix is real, column n - j is the conjugate of column j.
-    The root table holds root n - r as the exact conjugate of root r, so a
-    computed column n - j equals the conjugated column j.  A one-trial
-    dictionary keeps each column it computes until its mirror is asked
-    for, then serves the mirror by conjugation and drops the kept column:
-    a pursuit never picks a column twice, and the picks of a real signal
-    come in mirror pairs, so few columns are kept at once.  A stack keeps
-    none.
+    Column j of the dictionary is conj(spectra[:, j]) / n for j <= n / 2
+    and spectra[:, n - j] / n above, so a column is a read, and column
+    n - j is the conjugate of column j exactly.  Correlations A^H r are one
+    real product: the real and imaginary parts of the residual form a
+    two-row operand against the spectra viewed as real pairs, giving
+    c0 = spectra^T Re r and c1 = spectra^T Im r; bin j < n // 2 + 1 is
+    (c0 + i c1)[j] / n and bin j above is conj(c0 - i c1)[n - j] / n.  No
+    FFT runs per call, and a stacked product computes each trial's slice
+    exactly as a one-trial product would.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -92,50 +94,42 @@ class FourierDictionary:
             raise DimensionError("measurement matrix must be 2-D, or a 3-D stack of trials")
         if np.iscomplexobj(matrix):
             raise ParameterError("FourierDictionary expects a real matrix")
-        self.matrix = matrix
-        self.shape = matrix.shape[-2:]
-        self.trials = 1 if matrix.ndim == 2 else len(matrix)
-        self._kept: dict[int, np.ndarray] | None = {} if matrix.ndim == 2 else None
+        self._hold(np.fft.rfft(matrix, axis=-1), matrix.shape[-1])
+
+    @classmethod
+    def from_spectra(cls, spectra: np.ndarray, n: int) -> "FourierDictionary":
+        """The dictionary of a real (..., rows, n) matrix, given its
+        ``np.fft.rfft`` along the rows as a C-contiguous complex array."""
+        if spectra.ndim not in (2, 3) or spectra.shape[-1] != n // 2 + 1:
+            raise DimensionError(f"spectra {spectra.shape} are not the rfft of rows of length {n}")
+        ops = cls.__new__(cls)
+        ops._hold(spectra, n)
+        return ops
+
+    def _hold(self, spectra: np.ndarray, n: int) -> None:
+        self.spectra = _frozen(spectra)
+        self.shape = (spectra.shape[-2], n)
+        self.trials = 1 if spectra.ndim == 2 else len(spectra)
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
+        n, h = self.shape[1], self.spectra.shape[-1]
         operand = np.empty((*residual.shape[:-1], 2, residual.shape[-1]))
         operand[..., 0, :], operand[..., 1, :] = residual.real, residual.imag
-        parts = operand @ self.matrix
-        return np.fft.fft(parts[..., 0, :] + 1j * parts[..., 1, :]) / self.shape[1]
+        parts = (operand @ self.spectra.view(np.float64)).view(np.complex128)
+        c0, c1 = parts[..., 0, :], parts[..., 1, :]
+        out = np.empty((*residual.shape[:-1], n), dtype=np.complex128)
+        out[..., :h] = c0 + 1j * c1
+        out[..., h:] = (c0 - 1j * c1)[..., n - h:0:-1].conj()
+        out /= n
+        return out
 
     def column(self, j) -> np.ndarray:
         n = self.shape[1]
         picks = np.reshape(j, -1)
-        kept = self._kept
-        mirror = kept.pop(-int(picks[0]) % n, None) if kept is not None else None
-        if mirror is not None:
-            cols = mirror.conj()[None]
-        else:
-            phases = np.take(_unit_roots(n), np.multiply.outer(picks, np.arange(n)) % n, axis=1)
-            parts = np.swapaxes(phases, 0, 1) @ np.swapaxes(self.matrix, -1, -2)
-            cols = parts[..., 0, :] + 1j * parts[..., 1, :]
-            if kept is not None:
-                kept[int(picks[0])] = cols[0]
-        cols.flags.writeable = False
+        stack = self.spectra.reshape((-1, *self.spectra.shape[-2:]))
+        cols = stack[np.arange(len(picks)), :, np.minimum(picks, n - picks)] / n
+        np.conjugate(cols, out=cols, where=(picks <= n // 2)[:, None])
         return cols if np.ndim(j) else cols[0]
-
-
-@functools.lru_cache(maxsize=2)
-def _unit_roots(n: int) -> np.ndarray:
-    """The cosines and sines of 2 pi r / n over n, a read-only (2, n) array.
-
-    Roots up to r = n / 2 are computed, with exp(1j pi) set to exactly -1;
-    root n - r is then the conjugate of root r, bit for bit.  Tables for the
-    last two lengths are kept: a pursuit's training and testing dictionaries
-    share one length.
-    """
-    half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
-    if n % 2 == 0:
-        half[-1] = -1.0
-    roots = np.concatenate([half, half[1:(n + 1) // 2][::-1].conj()]) / n
-    table = np.stack([roots.real, roots.imag])
-    table.flags.writeable = False
-    return table
 
 
 class _DenseOps:
@@ -387,20 +381,19 @@ def _sasr_then_omp(measurements: MeasurementSet, halting: HaltingConfig):
     """Yield :func:`sasr`'s result, then continue the same pursuit as OMP.
 
     The second result equals ``omp(measurements.training,
-    FourierDictionary(measurements.phi), halting.max_sparsity)`` in every
-    field: both fits use the same training vector, dictionary and stop
-    rules apart from the criterion, so SASR's picks are a prefix of OMP's,
-    and the baseline keeps stepping SASR's pursuit (with its column cache
-    and residual norms) instead of redoing those picks.
+    measurements.phi, halting.max_sparsity)`` in every field: both fits
+    use the same training vector, dictionary and stop rules apart from the
+    criterion, so SASR's picks are a prefix of OMP's, and the baseline
+    keeps stepping SASR's pursuit (with its factors and residual norms)
+    instead of redoing those picks.
     """
-    A = FourierDictionary(measurements.phi)
-    B = FourierDictionary(measurements.psi)
+    A, B = measurements.phi, measurements.psi
     y = np.asarray(measurements.training, dtype=np.complex128)
     testing = np.asarray(measurements.testing, dtype=np.complex128)
     v_p = len(testing)
     if v_p < 1:
         raise ParameterError("sasr needs at least one testing measurement")
-    halts = halting_rule(halting, measurements.phi.shape[1], v_p)
+    halts = halting_rule(halting, A.shape[1], v_p)
     capacity = min(halting.max_sparsity, len(y))
     fit = _IncrementalFit(A, y[None], capacity)
     picks = _pursue(fit, capacity)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -142,6 +143,28 @@ class TestExperimentConfig:
         assert a.digest() != _coverage_cfg(master_seed=2).digest()
         # workers and output_path shape execution, not results
         assert a.digest() == _coverage_cfg(workers=4, output_path="x.csv").digest()
+
+    def test_digest_is_sha256_without_openssl(self):
+        # The interpreter's own SHA-256 gives the digest, so importing the
+        # command line leaves hashlib's OpenSSL backend unloaded.
+        script = (
+            "import sys\n"
+            "import widesense.cli\n"
+            "from widesense.experiments import ExperimentConfig\n"
+            "cfg = ExperimentConfig(name='interval_coverage', trials=5, master_seed=1,\n"
+            "                       grid={'testing_size': [10], 'confidence_factor': [0.3]},\n"
+            "                       base={'signal_length': 32})\n"
+            "print('_hashlib' in sys.modules, cfg.digest())\n"
+        )
+        source = str(Path(widesense.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+        payload = ('{"base":{"signal_length":32},"grid":{"confidence_factor":[0.3],'
+                   '"testing_size":[10]},"master_seed":1,"name":"interval_coverage","trials":5}')
+        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        assert done.stdout.split() == ["False", expected]
+        assert _coverage_cfg().digest() == expected
 
     def test_round_trip(self):
         cfg = _coverage_cfg(output_path="out.csv", workers=2)

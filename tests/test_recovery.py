@@ -27,6 +27,15 @@ def _sparse_problem(seed=42, rows=60, n=200):
     return x, phi, psi
 
 
+def _sparse_measurements(seed=42, testing=110, **noise):
+    """The signal of :func:`_sparse_problem` acquired through its phi and
+    the first ``testing`` rows of its psi: acquire draws phi, then psi,
+    from the one generator it is given."""
+    x, _, _ = _sparse_problem(seed)
+    rng = np.random.default_rng(seed)
+    return x, acquire(x, 60, testing, rng, rng, **noise)
+
+
 def _noiseless_halting(**kw):
     base = dict(mode="noiseless", max_sparsity=20, error_threshold=1.0, confidence_factor=0.2)
     base.update(kw)
@@ -69,6 +78,33 @@ class TestFourierDictionary:
             ops = FourierDictionary(phi)
             ops.column(j)
             assert np.array_equal(ops.column(-j % n), mirrored), j
+
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_every_bin_matches_the_oracle(self, n):
+        # One trial and a (3, rows, n) stack, over every bin: 0, n / 2 for
+        # even n, and the upper half that mirrors the bins below it.
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((3, 5, n))
+        residuals = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        dense = np.stack([sensing_dictionary(phi) for phi in stack])
+        single, stacked = FourierDictionary(stack[0]), FourierDictionary(stack)
+        expected = np.stack([a.conj().T @ r for a, r in zip(dense, residuals)])
+        np.testing.assert_allclose(single.correlations(residuals[0]), expected[0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked.correlations(residuals), expected, rtol=0, atol=1e-12)
+        for j in range(n):
+            np.testing.assert_allclose(single.column(j), dense[0, :, j], rtol=0, atol=1e-12)
+            picks = (j + np.arange(3) * (n // 2)) % n
+            np.testing.assert_allclose(stacked.column(picks), dense[np.arange(3), :, picks],
+                                       rtol=0, atol=1e-12)
+
+    def test_from_spectra_is_the_dictionary_of_the_matrix(self):
+        phi = np.random.default_rng(6).standard_normal((4, 25))
+        ops = FourierDictionary.from_spectra(np.fft.rfft(phi), 25)
+        assert (ops.shape, ops.trials) == ((4, 25), 1)
+        assert np.array_equal(ops.spectra, FourierDictionary(phi).spectra)
+        with pytest.raises(DimensionError):
+            FourierDictionary.from_spectra(np.fft.rfft(phi), 26)
 
     @pytest.mark.parametrize("method", ["correlations", "column"])
     def test_products_do_not_copy_the_matrix(self, method):
@@ -214,8 +250,7 @@ class TestLeastSquaresOnSupport:
 
 class TestSasr:
     def test_halts_by_criterion_at_true_sparsity(self):
-        x, phi, psi = _sparse_problem()
-        ms = acquire(x, phi, psi)
+        x, ms = _sparse_measurements()
         result = sasr(ms, _noiseless_halting())
         truth = np.fft.fft(x.samples)
         assert result.halted_by == "criterion"
@@ -226,8 +261,7 @@ class TestSasr:
         assert result.rho_trace[-1] < result.rho_trace[0]
 
     def test_strided_training_vector(self):
-        x, phi, psi = _sparse_problem()
-        ms = acquire(x, phi, psi)
+        _, ms = _sparse_measurements()
         wide = np.zeros((len(ms.training), 2), dtype=complex)
         wide[:, 0] = ms.training
         strided = MeasurementSet(wide[:, 0], ms.testing, ms.phi, ms.psi)
@@ -235,9 +269,8 @@ class TestSasr:
         _assert_same_result(sasr(strided, _noiseless_halting()), sasr(ms, _noiseless_halting()))
 
     def test_min_testing_gate_blocks_halting(self):
-        x, phi, psi = _sparse_problem()
-        ms = acquire(x, phi, psi)
-        result = sasr(ms, _noiseless_halting(min_testing=len(psi) + 1))
+        _, ms = _sparse_measurements()
+        result = sasr(ms, _noiseless_halting(min_testing=len(ms.testing) + 1))
         assert result.halted_by == "k_max_exhausted"
         assert result.iterations >= 8
 
@@ -245,7 +278,7 @@ class TestSasr:
         silent = GridSpectrumSpec(200, 200.0, ())
         x = synthesize_grid_signal(silent, 1.0)
         rng = np.random.default_rng(3)
-        ms = acquire(x, rng.standard_normal((60, 200)), rng.standard_normal((110, 200)))
+        ms = acquire(x, 60, 110, rng, rng)
         result = sasr(ms, _noiseless_halting())
         assert result.halted_by == "criterion"
         assert result.iterations == 0
@@ -259,13 +292,7 @@ class TestSasr:
         silent = GridSpectrumSpec(200, 200.0, ())
         x = synthesize_grid_signal(silent, 1.0)
         rng = np.random.default_rng(4)
-        ms = acquire(
-            x,
-            rng.standard_normal((60, 200)),
-            rng.standard_normal((110, 200)),
-            noise_std=1.0,
-            noise_seed=9,
-        )
+        ms = acquire(x, 60, 110, rng, rng, noise_std=1.0, noise_seed=9)
         halting = HaltingConfig(mode="noisy", max_sparsity=20, noise_std=1.0, accuracy=0.6)
         result = sasr(ms, halting)
         assert result.halted_by == "criterion"
@@ -279,21 +306,14 @@ class TestSasr:
         )
         x = synthesize_grid_signal(spec, 1.0)
         rng = np.random.default_rng(5)
-        ms = acquire(
-            x,
-            rng.standard_normal((60, 200)),
-            rng.standard_normal((110, 200)),
-            noise_std=1.0,
-            noise_seed=10,
-        )
+        ms = acquire(x, 60, 110, rng, rng, noise_std=1.0, noise_seed=10)
         halting = HaltingConfig(mode="noisy", max_sparsity=20, noise_std=1.0, accuracy=0.6)
         result = sasr(ms, halting)
         assert result.halted_by == "criterion"
         assert result.iterations == 8
 
     def test_unsatisfiable_criterion_warns_once_per_call(self):
-        x, phi, psi = _sparse_problem()
-        ms = acquire(x, phi, psi[:2])
+        _, ms = _sparse_measurements(testing=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = sasr(ms, _noiseless_halting(failure_prob=0.05))
@@ -307,16 +327,15 @@ class TestSasr:
         (1.0, HaltingConfig(mode="noisy", max_sparsity=20, noise_std=1.0, accuracy=0.6)),
     ], ids=["noiseless", "noisy"])
     def test_last_rho_matches_the_oracle(self, noise_std, halting):
-        x, phi, psi = _sparse_problem()
-        ms = acquire(x, phi, psi, noise_std=noise_std, noise_seed=11)
+        _, _, psi = _sparse_problem()
+        _, ms = _sparse_measurements(noise_std=noise_std, noise_seed=11)
         result = sasr(ms, halting)
         assert result.iterations > 0
-        rho = validation_parameter(ms.testing, ms.psi, result.estimate)
+        rho = validation_parameter(ms.testing, psi, result.estimate)
         np.testing.assert_allclose(result.rho_trace[-1], rho, rtol=1e-12, atol=0)
 
     def test_needs_testing_rows(self):
-        x, phi, _ = _sparse_problem()
-        ms = acquire(x, phi, np.zeros((0, 200)))
+        _, ms = _sparse_measurements(testing=0)
         with pytest.raises(ParameterError):
             sasr(ms, _noiseless_halting())
 
@@ -328,8 +347,9 @@ def _noisy_problem(amplitude, seed, noise_seed, max_sparsity=20, **kw):
     )
     x = synthesize_grid_signal(spec, 1.0)
     rng = np.random.default_rng(seed)
-    phi = rng.standard_normal((60, 200))
-    ms = acquire(x, phi, rng.standard_normal((110, 200)), noise_std=1.0, noise_seed=noise_seed)
+    ms = acquire(x, 60, 110, rng, rng, noise_std=1.0, noise_seed=noise_seed)
+    # The matrix acquire drew first from the generator.
+    phi = np.random.default_rng(seed).standard_normal((60, 200))
     halting = HaltingConfig(mode="noisy", max_sparsity=max_sparsity, noise_std=1.0,
                             accuracy=0.6, **kw)
     return ms, phi, halting
@@ -358,8 +378,8 @@ class TestSasrThenOmp:
         silent = GridSpectrumSpec(200, 200.0, ())
         x = synthesize_grid_signal(silent, 1.0)
         rng = np.random.default_rng(3)
-        phi = rng.standard_normal((60, 200))
-        ms = acquire(x, phi, rng.standard_normal((110, 200)))
+        ms = acquire(x, 60, 110, rng, rng)
+        phi = np.random.default_rng(3).standard_normal((60, 200))
         halting = _noiseless_halting(min_testing=500)
         adaptive, continued = _sasr_then_omp(ms, halting)
         assert (adaptive.halted_by, adaptive.iterations) == ("k_max_exhausted", 0)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import sensing_dictionary
 from widesense.errors import DimensionError, ParameterError
+from widesense.experiments import pin_blas_threads
 from widesense.recovery import FourierDictionary
-from widesense.sensing import MeasurementSet, acquire, draw_matrix
+from widesense.sensing import _BLOCK_ROWS, MeasurementSet, acquire, draw_matrix, draw_operator
 from widesense.signals import TimeSeries
 
 
@@ -35,19 +38,20 @@ class TestAcquire:
         rng = np.random.default_rng(9)
         phi = rng.standard_normal((5, 24))
         psi = rng.standard_normal((3, 24))
-        ms = acquire(ts, phi, psi)
+        # one generator for both draws phi, then psi
+        gen = np.random.default_rng(9)
+        ms = acquire(ts, 5, 3, gen, gen)
         assert np.allclose(ms.training, phi @ ts.samples)
         assert np.allclose(ms.testing, psi @ ts.samples)
         assert ms.training.dtype == np.complex128
+        assert np.array_equal(ms.phi.spectra, np.fft.rfft(phi))
+        assert np.array_equal(ms.psi.spectra, np.fft.rfft(psi))
 
     def test_noise_is_reproducible_and_complex(self):
         ts = self._window()
-        rng = np.random.default_rng(10)
-        phi = rng.standard_normal((5, 24))
-        psi = rng.standard_normal((3, 24))
-        a = acquire(ts, phi, psi, noise_std=0.5, noise_seed=77)
-        b = acquire(ts, phi, psi, noise_std=0.5, noise_seed=77)
-        c = acquire(ts, phi, psi, noise_std=0.5, noise_seed=78)
+        a = acquire(ts, 5, 3, 10, 11, noise_std=0.5, noise_seed=77)
+        b = acquire(ts, 5, 3, 10, 11, noise_std=0.5, noise_seed=77)
+        c = acquire(ts, 5, 3, 10, 11, noise_std=0.5, noise_seed=78)
         assert np.array_equal(a.training, b.training)
         assert np.array_equal(a.testing, b.testing)
         assert not np.array_equal(a.training, c.training)
@@ -55,27 +59,63 @@ class TestAcquire:
 
     def test_noise_stream_order_training_first(self):
         """One seed stream feeds training (re, im) then testing (re, im)."""
-        ts = self._window()
-        phi = np.zeros((2, 24))
-        psi = np.zeros((3, 24))
-        ms = acquire(ts, phi, psi, noise_std=1.0, noise_seed=5)
+        # a silent window projects to exact zeros, leaving the noise alone
+        ts = TimeSeries(samples=np.zeros(24), rate=24.0)
+        ms = acquire(ts, 2, 3, 1, 2, noise_std=1.0, noise_seed=5)
         g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
         tr = g.standard_normal(2) + 1j * g.standard_normal(2)
         te = g.standard_normal(3) + 1j * g.standard_normal(3)
         assert np.array_equal(ms.training, tr)
         assert np.array_equal(ms.testing, te)
 
-    def test_rejects_mismatched_window(self):
-        ts = self._window(24)
-        phi = np.zeros((2, 20))
-        psi = np.zeros((2, 24))
-        with pytest.raises(DimensionError):
-            acquire(ts, phi, psi)
+    def test_rejects_complex_window(self):
+        ts = TimeSeries(samples=np.ones(24, dtype=complex), rate=24.0)
+        with pytest.raises(ParameterError, match="real window"):
+            acquire(ts, 2, 2, 1, 2)
 
     def test_rejects_negative_noise_std(self):
         ts = self._window(24)
         with pytest.raises(ParameterError, match="noise_std"):
-            acquire(ts, np.zeros((2, 24)), np.zeros((2, 24)), noise_std=-0.1)
+            acquire(ts, 2, 2, 1, 2, noise_std=-0.1)
+
+    def test_step_peaks_below_its_two_spectra(self):
+        # Only one block of a matrix exists at a time: holding a 400 x 2000
+        # phi whole would add 6.4 MB to the 8 MB of the two spectra.
+        ts = self._window(2000)
+        tracemalloc.start()
+        try:
+            ms = acquire(ts, 400, 100, 1, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (ms.phi.spectra.nbytes + ms.psi.spectra.nbytes)
+
+
+class TestDrawOperator:
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_equals_one_draw_bit_for_bit(self, as_generator):
+        seed = np.random.default_rng(3) if as_generator else 3
+        rows, n = 2 * _BLOCK_ROWS + 5, 50
+        phi = draw_matrix(rows, n, 3)
+        samples = np.random.default_rng(4).standard_normal(n)
+        with pin_blas_threads():
+            measurements, spectra = draw_operator(samples, rows, seed)
+            expected = phi @ samples
+        assert np.array_equal(measurements, expected)
+        assert np.array_equal(spectra, np.fft.rfft(phi))
+
+    def test_fills_preallocated_outputs(self):
+        samples = np.random.default_rng(4).standard_normal((30, 2))
+        measurements, spectra = np.empty((70, 2)), np.empty((70, 16), dtype=complex)
+        out = draw_operator(samples, 70, 8, measurements, spectra)
+        assert out[0] is measurements and out[1] is spectra
+        phi = draw_matrix(70, 30, 8)
+        np.testing.assert_allclose(measurements, phi @ samples, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(spectra, np.fft.rfft(phi))
+
+
+def _dictionary(rows, n):
+    return FourierDictionary(np.zeros((rows, n)))
 
 
 def test_measurement_set_validates_shapes():
@@ -83,32 +123,42 @@ def test_measurement_set_validates_shapes():
         MeasurementSet(
             training=np.zeros(2, dtype=complex),
             testing=np.zeros(1, dtype=complex),
-            phi=np.zeros((2, 7)),
-            psi=np.zeros((1, 8)),
+            phi=_dictionary(2, 7),
+            psi=_dictionary(1, 8),
         )
+    # the dictionaries are one-trial operators, not matrices or stacks
+    for phi in (np.zeros((2, 8)), FourierDictionary(np.zeros((3, 2, 8)))):
+        with pytest.raises(DimensionError):
+            MeasurementSet(np.zeros(2, dtype=complex), np.zeros(1, dtype=complex),
+                           phi, _dictionary(1, 8))
 
 
 def test_measurement_set_arrays_are_frozen():
     ms = MeasurementSet(
         training=np.zeros(2, dtype=complex),
         testing=np.zeros(1, dtype=complex),
-        phi=np.zeros((2, 8)),
-        psi=np.zeros((1, 8)),
+        phi=_dictionary(2, 8),
+        psi=_dictionary(1, 8),
     )
     with pytest.raises(ValueError):
-        ms.phi[0, 0] = 1.0
-
-
-def test_acquire_keeps_read_only_views_of_the_matrices():
-    rng = np.random.default_rng(3)
-    phi, psi = rng.standard_normal((3, 8)), rng.standard_normal((2, 8))
-    ms = acquire(TimeSeries(samples=rng.standard_normal(8), rate=8.0), phi, psi)
-    assert np.shares_memory(ms.phi, phi)
-    assert np.shares_memory(ms.psi, psi)
-    # the record is read-only; the caller's arrays keep their own flags
-    assert phi.flags.writeable and psi.flags.writeable
+        ms.phi.spectra[0, 0] = 1.0
     with pytest.raises(ValueError):
-        ms.psi[0, 0] = 1.0
+        ms.training[0] = 1.0
+
+
+def test_acquire_keeps_read_only_operators_and_views():
+    rng = np.random.default_rng(3)
+    ms = acquire(TimeSeries(samples=rng.standard_normal(8), rate=8.0), 3, 2, 4, 5)
+    training = np.ones(3, dtype=complex)
+    record = MeasurementSet(training, ms.testing, ms.phi, ms.psi)
+    assert record.phi is ms.phi and record.psi is ms.psi
+    assert np.shares_memory(record.training, training)
+    # the record is read-only; the caller's arrays keep their own flags
+    assert training.flags.writeable
+    with pytest.raises(ValueError):
+        ms.psi.spectra[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        record.training[0] = 0.0
 
 
 class TestSensingDictionary:
