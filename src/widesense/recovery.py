@@ -68,8 +68,8 @@ class FourierDictionary:
 
     For a real (rows, n) measurement matrix the dictionary keeps only
     ``spectra = np.fft.rfft(matrix, axis=-1)``: rows x (n // 2 + 1) complex
-    numbers, the bytes of the matrix plus 16 per row.  ``matrix`` may also
-    be a (B, rows, n) stack of B trials' matrices; ``shape`` is the
+    numbers, the bytes of the matrix plus at most 16 per row.  ``matrix`` may
+    also be a (B, rows, n) stack of B trials' matrices; ``shape`` is the
     per-trial (rows, n) either way.  For a stack, :meth:`correlations`
     takes a (B, rows) stack of residuals and returns (B, n), and
     :meth:`column` takes one index per trial and returns a (B, rows) stack
