@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import RecoveryResult, sasr
-from .rng import stream_seed
+from .rng import stream_seed, substreams
 from .sensing import acquire
 from .signals import (
     GridSpectrumSpec,
@@ -335,9 +335,8 @@ def calibrate_lambda(frame: FrameConfig, halting: HaltingConfig, bands,
     # Threshold value is irrelevant during calibration; reuse a dummy one.
     detector = DetectorConfig(bands=bands, threshold=1.0)
     energies = []
-    for t in range(trials):
-        outcome = run_frame(spec, frame, halting, detector,
-                            stream_seed(master_seed, "calibrate", t))
+    for seed in substreams(master_seed, "calibrate", np.arange(trials)).seeds.tolist():
+        outcome = run_frame(spec, frame, halting, detector, seed)
         energies.extend(d.energy for d in outcome.per_band_decisions)
     energies = np.asarray(energies)
     lam = float(np.quantile(energies, 1.0 - false_alarm, method="higher"))

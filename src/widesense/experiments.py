@@ -21,19 +21,24 @@ trials, and aggregate :class:`ResultTable` rows per grid cell:
 
 Each experiment is one entry of the ``_EXPERIMENTS`` registry: its default
 trial count, its grid and base keys with their default values, the columns
-it adds, a trial function over a chunk of trial seeds, the chunk size and a
-row aggregator.  One loop, ``_sweep``, runs every experiment.
+it adds, a trial function over a chunk of trial streams, the chunk size and
+a row aggregator.  One loop, ``_sweep``, runs every experiment.
 ``phase_transition`` runs each chunk of trials as one stacked pursuit,
-chunked to at most 800 kB of measurement matrices; the other experiments run
-per seed.  A key's default also fixes its type: an integer default
-takes integers only, a ``None`` default an integer or null, and a float
-default any finite real, converted to float; every value must be >= 0, and
->= 1 where the default is a positive integer.
+chunked to at most 800 kB of measurement matrices, and
+``halting_probability`` derives the noise streams of a chunk of 500 trials
+at once; the other experiments run per trial.  A key's default also fixes
+its type: an integer default takes integers only, a ``None`` default an
+integer or null, and a float default any finite real, converted to float;
+every value must be >= 0, and >= 1 where the default is a positive integer.
 
 Every stochastic quantity derives from (master_seed, experiment, cell, trial)
-via :func:`widesense.rng.stream_seed`, trials are order-independent, and rows
-are emitted in canonical grid order, so a fixed config serializes to
-byte-identical CSV/JSON no matter how many workers run the trials.
+via :func:`widesense.rng.stream_seed`: a cell's ``seed_base`` from one call,
+and its trials' seeds ``stream_seed(seed_base, "trial", t)`` with their
+generators from one :func:`widesense.rng.substreams` pass, which a chunk of
+trials receives as a slice, a :class:`~widesense.rng.Streams` of
+``(seed, rng)`` pairs.  Trials are order-independent, and rows are emitted
+in canonical grid order, so a fixed config serializes to byte-identical
+CSV/JSON no matter how many workers run the trials.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ import numpy as np
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp
-from .rng import stream_seed
+from .rng import stream_seed, substreams
 from .sensing import acquire, draw_operator
 from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
 from .validation import (
@@ -330,16 +335,20 @@ def _pin_worker() -> None:
         found[1](1)
 
 
-def _each_seed(trial, cell: dict, base: dict, seeds: list) -> list:
-    return [trial(cell, base, seed) for seed in seeds]
+def _each_seed(trial, cell: dict, base: dict, streams) -> list:
+    return [trial(cell, base, seed, rng) for seed, rng in streams]
 
 
-def _map_trials(fn, cell: dict, base: dict, seeds: list, size: int, workers: int) -> list:
-    """The outcomes of ``fn(cell, base, chunk)`` over ``seeds`` cut into
-    chunks of ``size``, in seed order."""
-    chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+def _map_trials(fn, cell: dict, base: dict, streams, size: int, workers: int) -> list:
+    """The outcomes of ``fn(cell, base, chunk)`` over the trial ``streams``
+    (a :class:`~widesense.rng.Streams`) cut into chunks of ``size``, in
+    trial order."""
+    starts = range(0, len(streams), size)
+    # Each chunk is sliced when it is reached, so that a serial run never
+    # holds every chunk's small array views at once.
+    chunks = (streams[i:i + size] for i in starts)
     args = (fn, itertools.repeat(cell), itertools.repeat(base), chunks)
-    if workers <= 1 or len(chunks) <= 1:
+    if workers <= 1 or len(starts) <= 1:
         runs = list(map(*args))
     else:
         # Imported here: the process pool machinery costs about 0.8 MB of
@@ -348,7 +357,7 @@ def _map_trials(fn, cell: dict, base: dict, seeds: list, size: int, workers: int
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                     initializer=_pin_worker) as pool:
-            runs = list(pool.map(*args, chunksize=max(1, len(chunks) // (workers * 8))))
+            runs = list(pool.map(*args, chunksize=max(1, len(starts) // (workers * 8))))
     return [outcome for run in runs for outcome in run]
 
 
@@ -406,15 +415,14 @@ def _phase_transition_chunk(cell, base) -> int:
     return max(1, _STACK_BYTES // (8 * cell["measurements"] * base["signal_length"]))
 
 
-def _phase_transition_trials(cell, base, seeds):
-    """Each seed draws its trial as a lone trial would; the chunk is then
+def _phase_transition_trials(cell, base, streams):
+    """Each stream draws its trial as a lone trial would; the chunk is then
     recovered by one stacked fixed-k pursuit."""
     m, k, n = cell["measurements"], cell["sparsity"], base["signal_length"]
-    spectra = np.zeros((len(seeds), n), dtype=complex)
-    dictionaries = np.empty((len(seeds), m, n // 2 + 1), dtype=complex)
-    training = np.empty((len(seeds), m), dtype=complex)
-    for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    spectra = np.zeros((len(streams), n), dtype=complex)
+    dictionaries = np.empty((len(streams), m, n // 2 + 1), dtype=complex)
+    training = np.empty((len(streams), m), dtype=complex)
+    for b, (_seed, rng) in enumerate(streams):
         if k:
             support = rng.choice(n, size=k, replace=False)
             spectra[b, support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -448,9 +456,8 @@ def _phase_transition_rows(cell, base, run):
 # interval coverage
 
 
-def _coverage_trial(cell, base, seed):
+def _coverage_trial(cell, base, _seed, rng):
     eta, v, n = cell["confidence_factor"], cell["testing_size"], base["signal_length"]
-    rng = np.random.default_rng(seed)
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     psi = rng.standard_normal((v, n))
@@ -472,10 +479,10 @@ def _coverage_rows(cell, base, run):
 # error tracking
 
 
-def _frame_spectrum(base: dict, seed: int) -> GridSpectrumSpec:
+def _frame_spectrum(base: dict, rng) -> GridSpectrumSpec:
     """The random grouped-tone spectrum of one frame-scale trial."""
     return random_grid_spectrum(
-        np.random.default_rng(seed),
+        rng,
         reference_length=int(round(base["nyquist_rate"] * base["time_step"])),
         nyquist_rate=base["nyquist_rate"],
         sparsity=base["sparsity"],
@@ -499,9 +506,9 @@ def _tracking_halting(base: dict) -> HaltingConfig:
     )
 
 
-def _tracking_trial(cell, base, seed):
+def _tracking_trial(cell, base, seed, rng):
     v = cell["testing_per_step"]
-    spec = _frame_spectrum(base, seed)
+    spec = _frame_spectrum(base, rng)
     frame = _frame_config(base, testing_per_step=v)
     halting = _tracking_halting(base)
     eta = base["confidence_factor"]
@@ -546,9 +553,8 @@ def _tracking_rows(cell, base, run):
 # adaptive sequential sensing vs fixed-budget baseline
 
 
-def _acss_trial(cell, base, seed):
+def _acss_trial(cell, base, seed, rng):
     f_s, k = cell["sub_nyquist_rate"], cell["sparsity"]
-    rng = np.random.default_rng(seed)
     n_ref = int(round(base["nyquist_rate"] * base["time_step"]))
     if k:
         spec = random_grid_spectrum(rng, n_ref, base["nyquist_rate"], k, max(1, k // 4))
@@ -595,15 +601,22 @@ def _acss_rows(cell, base, run):
 # halting probability
 
 
-def _halting_trial(cell, base, seed):
+# Trials of a halting_probability chunk, whose noise streams are derived in
+# one pass.
+_HALTING_CHUNK = 500
+
+
+def _halting_trials(cell, base, streams):
     v, delta = cell["testing_size"], base["noise_std"]
+    halts = _noisy_rule(v, delta, cell["accuracy_factor"] * delta)
+    outcomes = []
     # With an exact estimate the testing residual is the receiver noise
     # alone; draw it as acquire does for one training row and v testing rows.
-    rng = np.random.default_rng(stream_seed(seed, "noise"))
-    rng.standard_normal(2)
-    noise = delta * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
-    halts = _noisy_rule(v, delta, cell["accuracy_factor"] * delta)
-    return halts(float(np.abs(noise).sum() / v))
+    for _seed, rng in substreams(streams.seeds, "noise"):
+        rng.standard_normal(2)
+        noise = delta * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
+        outcomes.append(halts(float(np.abs(noise).sum() / v)))
+    return outcomes
 
 
 @functools.lru_cache(maxsize=128)
@@ -636,11 +649,10 @@ def _halting_rows(cell, base, run):
 # validation-halted recovery vs exhaustive pursuit
 
 
-def _sasr_trial(cell, base, seed):
+def _sasr_trial(cell, base, seed, rng):
     k, noise_power = cell["sparsity"], cell["noise_power"]
     delta = math.sqrt(noise_power)
     n = base["signal_length"]
-    rng = np.random.default_rng(seed)
     spec = random_grid_spectrum(
         rng, n, float(n), k, max(1, k // 4),
         noise_power=noise_power,
@@ -680,8 +692,8 @@ def _sasr_rows(cell, base, run):
 # single frame
 
 
-def _frame_trial(cell, base, seed):
-    spec = _frame_spectrum(base, seed)
+def _frame_trial(cell, base, seed, rng):
+    spec = _frame_spectrum(base, rng)
     frame = _frame_config(base)
     detector = DetectorConfig(
         bands=uniform_bands(base["nyquist_rate"] / 2.0, base["band_count"]),
@@ -713,9 +725,11 @@ class _Experiment:
 
     ``grid`` maps each grid key, outermost first, to its default values and
     ``base`` maps each base key to its default; the defaults also fix each
-    key's type (see :func:`_typed`).  ``trial(cell, base, seeds)`` runs a
-    chunk of trials, one outcome per seed, and ``chunk(cell, base)`` sizes
-    the chunks; a per-seed trial is lifted by :func:`_each_seed`.
+    key's type (see :func:`_typed`).  ``trial(cell, base, streams)`` runs a
+    chunk of trials, one outcome per ``(seed, rng)`` pair of its
+    :class:`~widesense.rng.Streams`, and ``chunk(cell, base)`` sizes the
+    chunks; a per-trial ``trial(cell, base, seed, rng)`` is lifted by
+    :func:`_each_seed`.
     ``rows(cell, base, run)`` turns one cell into rows of ``columns``,
     calling ``run()`` for the list of trial outcomes.  ``label`` formats the
     cell into its seed label; ``None`` seeds the experiment without one.
@@ -795,9 +809,10 @@ _EXPERIMENTS = {
         grid={"accuracy_factor": (0.6, 0.65, 0.7), "testing_size": tuple(range(10, 101, 10))},
         base={"noise_std": 1.0, "signal_length": 200},
         columns=("noise_std", "halt_probability", "bound_value"),
-        trial=functools.partial(_each_seed, _halting_trial),
+        trial=_halting_trials,
         rows=_halting_rows,
         label="{accuracy_factor}:{testing_size}",
+        chunk=lambda cell, base: _HALTING_CHUNK,
     ),
     "sasr_vs_omp": _Experiment(
         trials=200,
@@ -848,8 +863,8 @@ def _sweep(cfg: ExperimentConfig) -> ResultTable:
             seed_base = stream_seed(cfg.master_seed, cfg.name, *label)
 
             def run():
-                seeds = [stream_seed(seed_base, "trial", t) for t in range(cfg.trials)]
-                return _map_trials(spec.trial, cell, base, seeds, spec.chunk(cell, base),
+                streams = substreams(seed_base, "trial", np.arange(cfg.trials))
+                return _map_trials(spec.trial, cell, base, streams, spec.chunk(cell, base),
                                    cfg.workers)
 
             for row in spec.rows(cell, base, run):

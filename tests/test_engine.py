@@ -18,6 +18,7 @@ from widesense.engine import (
     uniform_bands,
 )
 from widesense.errors import InvalidSpecError, ParameterError
+from widesense.rng import stream_seed
 from widesense.signals import (
     GridSpectrumSpec,
     GridTone,
@@ -326,9 +327,23 @@ class TestCalibrateLambda:
     def test_positive_quantile_and_determinism(self):
         halting = HaltingConfig(mode="noisy", max_sparsity=8, noise_std=0.5, accuracy=0.05)
         lam = calibrate_lambda(_frame(), halting, uniform_bands(2.5e9, 4), 0.25, 5, 3)
-        assert lam == pytest.approx(10.331295871551935)
+        assert lam == pytest.approx(10.33129587155209, rel=1e-12)
         again = calibrate_lambda(_frame(), halting, uniform_bands(2.5e9, 4), 0.25, 5, 3)
         assert again == lam
+
+    def test_noise_frames_take_the_calibrate_substreams(self, monkeypatch):
+        seeds = []
+
+        def recording(spec, frame, halting, detector, master_seed):
+            seeds.append(master_seed)
+            return original(spec, frame, halting, detector, master_seed)
+
+        original = engine.run_frame
+        monkeypatch.setattr(engine, "run_frame", recording)
+        halting = HaltingConfig(mode="noisy", max_sparsity=8, noise_std=0.5, accuracy=0.3)
+        calibrate_lambda(_frame(), halting, uniform_bands(2.5e9, 4), 0.1, 3, 2**64 + 3)
+        assert seeds == [stream_seed(3, "calibrate", t) for t in range(3)]
+        assert all(type(seed) is int for seed in seeds)
 
     def test_requires_noisy_mode(self):
         with pytest.raises(ParameterError):

@@ -444,6 +444,35 @@ class TestDeterminism:
         monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
         assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
 
+    def test_halting_bytes_do_not_depend_on_workers_or_chunks(self, monkeypatch):
+        cfg = dict(name="halting_probability", trials=23, master_seed=8,
+                   grid={"accuracy_factor": [0.6], "testing_size": [20, 40]})
+        serial = run_experiment(ExperimentConfig(**cfg)).to_csv_text()
+        monkeypatch.setattr(experiments, "_HALTING_CHUNK", 4)
+        assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
+        assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
+
+    @pytest.mark.parametrize("name, trials, cell", [
+        ("halting_probability", 300, {"accuracy_factor": 0.6, "testing_size": 60}),
+        ("interval_coverage", 400, {"confidence_factor": 0.3, "testing_size": 40}),
+    ], ids=["halting_probability", "interval_coverage"])
+    def test_a_cell_derives_its_trial_seeds_in_one_pass(self, monkeypatch, name, trials, cell):
+        # Only the cell's seed_base comes from a scalar stream_seed call; the
+        # trial seeds (and halting's noise seeds) are derived as arrays.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return stream_seed(*args)
+
+        monkeypatch.setattr(experiments, "stream_seed", counting)
+        cfg = ExperimentConfig(name=name, trials=trials, master_seed=9,
+                               grid={key: [value] for key, value in cell.items()})
+        table = run_experiment(cfg)
+        label = ":".join(str(value) for value in cell.values())
+        assert calls == [(9, name, label)]
+        assert table.rows[0]["seed_base"] == stream_seed(9, name, label)
+
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
     def test_seed_base_derives_from_the_cell_label(self, name):
         cfg = _tiny_cfg(name)
