@@ -25,8 +25,8 @@ it adds, a trial function over a chunk of trial streams, the chunk size and
 a row aggregator.  One loop, ``_sweep``, runs every experiment.
 ``phase_transition`` runs each chunk of trials as one stacked pursuit,
 chunked to at most 800 kB of measurement matrices, and
-``halting_probability`` derives the noise streams of a chunk of 500 trials
-at once; the other experiments run per trial.  A key's default also fixes
+``halting_probability`` derives the noise streams of a chunk of up to 500
+trials at once; the other experiments run per trial.  A key's default also fixes
 its type: an integer default takes integers only, a ``None`` default an
 integer or null, and a float default any finite real, converted to float;
 every value must be >= 0, and >= 1 where the default is a positive integer.
@@ -341,8 +341,11 @@ def _each_seed(trial, cell: dict, base: dict, streams) -> list:
 
 def _map_trials(fn, cell: dict, base: dict, streams, size: int, workers: int) -> list:
     """The outcomes of ``fn(cell, base, chunk)`` over the trial ``streams``
-    (a :class:`~widesense.rng.Streams`) cut into chunks of ``size``, in
-    trial order."""
+    (a :class:`~widesense.rng.Streams`) cut into chunks of at most ``size``,
+    in trial order.  With several workers a chunk holds at most its share
+    of the trials, so that every worker gets one."""
+    if workers > 1:
+        size = min(size, max(1, math.ceil(len(streams) / workers)))
     starts = range(0, len(streams), size)
     # Each chunk is sliced when it is reached, so that a serial run never
     # holds every chunk's small array views at once.
@@ -601,8 +604,9 @@ def _acss_rows(cell, base, run):
 # halting probability
 
 
-# Trials of a halting_probability chunk, whose noise streams are derived in
-# one pass.
+# Most trials of a halting_probability chunk, whose noise streams are derived
+# in one pass: past a few hundred trials a longer pass saves little, and the
+# chunks of a default 2000-trial cell still fill four workers.
 _HALTING_CHUNK = 500
 
 

@@ -22,7 +22,7 @@ from widesense.experiments import (
     run_experiment,
     significant_relative_mse,
 )
-from widesense.rng import stream_seed
+from widesense.rng import stream_seed, substreams
 from widesense.validation import confidence_floor_noisy
 
 DESK_FRAME = {
@@ -44,6 +44,11 @@ TRACKING_MINI = dict(
     confidence_factor=0.2,
     min_testing=10,
 )
+
+
+def _chunk_lengths(cell, base, streams):
+    """A chunk trial that reports the length of its chunk for each trial."""
+    return [len(streams)] * len(streams)
 
 
 def _coverage_cfg(**overrides):
@@ -451,6 +456,14 @@ class TestDeterminism:
         monkeypatch.setattr(experiments, "_HALTING_CHUNK", 4)
         assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
         assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
+
+    def test_every_worker_gets_a_chunk(self):
+        streams = substreams(1, "trial", np.arange(10))
+        # Chunks of 500 would leave two of three workers idle; shares of
+        # ceil(10 / 3) = 4 trials give each one a chunk.
+        assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 500, 3) == [4] * 8 + [2] * 2
+        assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 500, 1) == [10] * 10
+        assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 3, 2) == [3] * 9 + [1]
 
     @pytest.mark.parametrize("name, trials, cell", [
         ("halting_probability", 300, {"accuracy_factor": 0.6, "testing_size": 60}),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widesense import rng as rng_module
 from widesense.rng import stream_seed, substreams
 
 
@@ -122,14 +123,31 @@ def test_slices_and_pickles_keep_seeds_and_states(master, count, data):
         assert _states(copy) == _default_states(part.seeds.tolist())
 
 
-def test_generators_are_built_lazily():
+def test_generators_are_built_lazily(monkeypatch):
+    built = []
+
+    class Counting(rng_module._SeedingWords):
+        __slots__ = ()
+
+        def __init__(self, words):
+            built.append(words)
+            super().__init__(words)
+
+    # Register the real class as NumPy's seed sequence before patching it,
+    # so that the one registration does not go to the counting subclass.
+    rng_module._pcg64()
+    monkeypatch.setattr(rng_module, "_SeedingWords", Counting)
     streams = iter(substreams(3, "trial", np.arange(3)))
+    assert not built
     seed, rng = next(streams)
+    # Taking the first pair builds its generator and no other.
+    assert len(built) == 1
     assert isinstance(seed, int) and isinstance(rng, np.random.Generator)
     first = rng.bit_generator.state
     rng.standard_normal(4)
     # Drawing from one generator leaves the next one's start untouched.
     _seed, second = next(streams)
+    assert len(built) == 2
     assert second.bit_generator.state == np.random.default_rng(
         stream_seed(3, "trial", 1)).bit_generator.state
     assert first == np.random.default_rng(seed).bit_generator.state

@@ -3,10 +3,11 @@
     python3 tools/bench_pairs.py --parent REV --workload W --pairs N --seconds S
 
 Exports REV's committed files with ``git archive`` into a temporary
-directory (the working tree is never checked out or changed) and runs
-``bench/run.py --workload W --seed K --seconds S`` there and in this
-checkout, one seed K per pair: the parent runs first on odd pairs, the
-change first on even ones.  For each end-to-end metric of ``BENCHMARK.json``
+directory (the working tree is never checked out or changed) and runs the
+command that ``BENCHMARK.json`` declares with ``--workload W --seed K
+--seconds S`` there and in this checkout, pair K with seed K: the parent
+runs first on odd pairs, the change first on even ones.  Both sides of a
+pair run the same seed.  For each end-to-end metric of ``BENCHMARK.json``
 it prints each side's median [lower quartile, upper quartile], how many of
 the N pairs the change won, the change of the median in percent and
 "unresolved" when either side's quartile spread exceeds the gap between the
@@ -23,7 +24,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_record import ROOT, run_workload
 
 
 def export(rev: str, into: Path) -> Path:
@@ -37,15 +38,9 @@ def export(rev: str, into: Path) -> Path:
     return tree
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its result record."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.stderr.write(done.stderr)
-        raise SystemExit(f"{' '.join(argv)} in {tree} exited {done.returncode}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+def run_once(command: list, tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``: its failure counts and metric values."""
+    _argv, _machine, result = run_workload(command, workload, seed, seconds, cwd=tree)
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: entry["value"] for name, entry in result["metrics"].items()}}
@@ -79,8 +74,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="benchmark workload name")
     parser.add_argument("--pairs", required=True, type=int, help="number of run pairs")
     parser.add_argument("--seconds", required=True, type=float, help="seconds per run")
-    parser.add_argument("--first-seed", type=int, default=1,
-                        help="workload seed of the first pair; pair i takes seed + i - 1")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
@@ -93,15 +86,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         trees = {"parent": export(args.parent, Path(scratch)), "change": ROOT}
         for pair in range(1, args.pairs + 1):
-            seed = args.first_seed + pair - 1
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                record = run_once(trees[side], args.workload, seed, args.seconds)
+                record = run_once(spec["command"], trees[side], args.workload, pair,
+                                  args.seconds)
                 runs[side].append(record)
-                print(f"pair {pair} seed {seed} {side}: "
+                print(f"pair {pair} {side}: "
                       f"{json.dumps(record['metrics'], sort_keys=True)}", file=sys.stderr)
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          f"parent {args.parent}, seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
+          f"parent {args.parent}, seeds 1-{args.pairs}")
     for side, records in runs.items():
         print(f"{side}: attempted {sum(r['attempted'] for r in records)}, "
               f"failed {sum(r['failed'] for r in records)}, "

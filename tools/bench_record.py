@@ -19,13 +19,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1  # one fixed workload seed, so that records of successive changes compare
 
 
-def run_workload(command: list, workload: str, seed: int, seconds: float):
-    """One benchmark run: its argv, machine record and result."""
+def run_workload(command: list, workload: str, seed: int, seconds: float, cwd: Path = ROOT):
+    """One benchmark run in ``cwd``: its argv, machine record and result."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
-        raise SystemExit(f"{' '.join(argv)} exited {done.returncode}")
+        raise SystemExit(f"{' '.join(argv)} in {cwd} exited {done.returncode}")
     # The last line of its output is the result, the line before it the machine.
     machine_line, result_line = done.stdout.strip().splitlines()[-2:]
     return argv, json.loads(machine_line)["machine"], json.loads(result_line)
