@@ -5,12 +5,14 @@ writes (or prints) its result table; ``widesense frame`` runs one complete
 sensing frame; ``widesense list`` names the experiments;
 ``widesense calibrate-lambda`` fits the energy-detection threshold to a
 false-alarm target.  Config errors exit 1, runtime failures exit 2.
+
+Each section of a JSON config is built by its class's ``from_dict``; a
+``signal`` with ``tones`` is a grid spectrum, any other a wideband one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .engine import DetectorConfig, FrameConfig, calibrate_lambda, run_frame, uniform_bands
@@ -69,8 +71,8 @@ _CALIBRATE_KEYS = ("frame", "halting", "bands", "band_count", "false_alarm", "tr
 
 def _signal_from_dict(raw):
     if isinstance(raw, dict) and "tones" in raw:
-        return GridSpectrumSpec.from_json(json.dumps(raw))
-    return WidebandSignalSpec.from_json(json.dumps(raw))
+        return GridSpectrumSpec.from_dict(raw)
+    return WidebandSignalSpec.from_dict(raw)
 
 
 def _cmd_run(args) -> int:

@@ -255,11 +255,6 @@ class ResultTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, key: str) -> list:
-        if key not in self.schema:
-            raise ParameterError(f"no column {key!r} in table {self.name}")
-        return [row[key] for row in self.rows]
-
     def to_csv_text(self) -> str:
         lines = [",".join(self.schema)]
         for row in self.rows:
@@ -339,11 +334,12 @@ def _each_seed(trial, cell: dict, base: dict, streams) -> list:
     return [trial(cell, base, seed, rng) for seed, rng in streams]
 
 
-def _map_trials(fn, cell: dict, base: dict, streams, size: int, workers: int) -> list:
+def _map_trials(fn, cell: dict, base: dict, streams, size: int, workers: int, pool) -> list:
     """The outcomes of ``fn(cell, base, chunk)`` over the trial ``streams``
     (a :class:`~widesense.rng.Streams`) cut into chunks of at most ``size``,
     in trial order.  With several workers a chunk holds at most its share
-    of the trials, so that every worker gets one."""
+    of the trials, so that every worker gets one, and the chunks run on the
+    executor that ``pool()`` returns; one worker or one chunk runs here."""
     if workers > 1:
         size = min(size, max(1, math.ceil(len(streams) / workers)))
     starts = range(0, len(streams), size)
@@ -354,23 +350,16 @@ def _map_trials(fn, cell: dict, base: dict, streams, size: int, workers: int) ->
     if workers <= 1 or len(starts) <= 1:
         runs = list(map(*args))
     else:
-        # Imported here: the process pool machinery costs about 0.8 MB of
-        # resident memory that a serial run does not need.
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                    initializer=_pin_worker) as pool:
-            runs = list(pool.map(*args, chunksize=max(1, len(starts) // (workers * 8))))
+        runs = list(pool().map(*args, chunksize=max(1, len(starts) // (workers * 8))))
     return [outcome for run in runs for outcome in run]
 
 
-def significant_relative_mse(truth: np.ndarray, estimate: np.ndarray,
-                             floor_fraction: float = 0.01) -> float:
+def significant_relative_mse(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Mean per-bin relative squared error over the significant bins.
 
-    Bins below ``floor_fraction`` of the peak modulus are excluded so the
-    ratio is never taken against a (near-)zero bin.  Zero spectra return the
-    plain squared error of the estimate.
+    Bins below 1% of the peak modulus are excluded so the ratio is never
+    taken against a (near-)zero bin.  Zero spectra return the plain squared
+    error of the estimate.
     """
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
@@ -379,7 +368,7 @@ def significant_relative_mse(truth: np.ndarray, estimate: np.ndarray,
     peak = float(np.abs(truth).max(initial=0.0))
     if peak == 0.0:
         return float(np.sum(np.abs(estimate) ** 2))
-    mask = np.abs(truth) > floor_fraction * peak
+    mask = np.abs(truth) > 0.01 * peak
     ratios = np.abs(estimate[mask] - truth[mask]) ** 2 / np.abs(truth[mask]) ** 2
     return float(ratios.mean())
 
@@ -465,17 +454,17 @@ def _coverage_trial(cell, base, _seed, rng):
     direction /= np.linalg.norm(direction)
     psi = rng.standard_normal((v, n))
     rho = float(np.abs(psi @ direction).mean())
-    report = confidence_interval(rho, n, eta, v, base["jl_constant"])
+    report = confidence_interval(rho, n, eta)
     true_error = math.sqrt(n)  # unit time-domain direction
     return report.interval_low <= true_error <= report.interval_high
 
 
 def _coverage_rows(cell, base, run):
     """Empirical probability that the error interval covers the true error."""
-    hits = run()
+    # The floor first: a bad jl_constant stops the sweep before any trial runs.
     floor = confidence_floor_noiseless(cell["testing_size"], cell["confidence_factor"],
                                        base["jl_constant"])
-    return [{"empirical_coverage": float(np.mean(hits)), "bound_value": floor}]
+    return [{"empirical_coverage": float(np.mean(run())), "bound_value": floor}]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +509,7 @@ def _tracking_trial(cell, base, seed, rng):
     for p, window, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
         truth = np.fft.fft(window.samples)
         error = float(np.linalg.norm(truth - recovery.estimate.bins))
-        report = confidence_interval(recovery.rho_trace[-1], p * frame.nyquist_per_step, eta, v * p)
+        report = confidence_interval(recovery.rho_trace[-1], p * frame.nyquist_per_step, eta)
         halted = recovery.halted_by == "criterion"
         in_window = (
             error > 0.0
@@ -861,7 +850,17 @@ def _sweep(cfg: ExperimentConfig) -> ResultTable:
             for key, defaults in spec.grid.items()]
     digest = cfg.digest()
     rows = []
-    with pin_blas_threads():
+    with pin_blas_threads(), contextlib.ExitStack() as stack:
+        @functools.cache
+        def pool():
+            # One pool for every cell, started when first needed.  Imported
+            # here: the pool machinery costs about 0.8 MB of resident memory
+            # that a serial run does not need.
+            import concurrent.futures
+
+            return stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=cfg.workers, initializer=_pin_worker))
+
         for cell in map(dict, itertools.product(*axes)):
             label = () if spec.label is None else (spec.label.format(**cell),)
             seed_base = stream_seed(cfg.master_seed, cfg.name, *label)
@@ -869,7 +868,7 @@ def _sweep(cfg: ExperimentConfig) -> ResultTable:
             def run():
                 streams = substreams(seed_base, "trial", np.arange(cfg.trials))
                 return _map_trials(spec.trial, cell, base, streams, spec.chunk(cell, base),
-                                   cfg.workers)
+                                   cfg.workers, pool)
 
             for row in spec.rows(cell, base, run):
                 rows.append({**cell, **row, "trials": cfg.trials, "seed_base": seed_base,

@@ -18,13 +18,15 @@ generator families are provided:
   multiple of one slot, which makes it the reference input for recovery
   benchmarks where the sparsity level is a controlled variable.
 
+Each spec's ``from_dict`` builds it from the ``signal`` object of a parsed
+JSON config, rejecting unknown and missing keys by name.
+
 The DFT convention matches numpy: the forward transform is unnormalized and
 the inverse carries the 1/n factor, hence ``norm(dft(x)) == sqrt(n) * norm(x)``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,13 +60,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 # Wire keys of a subband in signal JSON: power, bandwidth, centre frequency.
 _SUBBAND_KEYS = ("E", "B_hz", "fc_hz")
-
-
-def _load_json(owner: str, text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpecError(f"malformed {owner} JSON: {exc}") from exc
 
 
 def _grid_list(name: str, value, length: int) -> list:
@@ -140,28 +135,9 @@ class WidebandSignalSpec:
                     f"subbands overlap: [{lo1:g}, {hi1:g}] and [{lo2:g}, {hi2:g}]"
                 )
 
-    @property
-    def occupancy(self) -> float:
-        """Occupied fraction of the monitored band."""
-        return sum(sb.bandwidth for sb in self.subbands) / self.total_bandwidth
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "W_hz": self.total_bandwidth,
-                "subbands": [
-                    {"E": sb.power, "B_hz": sb.bandwidth, "fc_hz": sb.center_frequency}
-                    for sb in self.subbands
-                ],
-                "alpha_s": self.time_offset,
-                "nyquist_hz": self.nyquist_rate,
-            },
-            sort_keys=True,
-        )
-
     @classmethod
-    def from_json(cls, text: str) -> "WidebandSignalSpec":
-        raw = _load_json("signal spec", text)
+    def from_dict(cls, raw) -> "WidebandSignalSpec":
+        """The spec of a parsed ``signal`` config object."""
         check_keys("signal", raw, ("W_hz", "subbands", "alpha_s", "nyquist_hz"),
                    ("W_hz", "subbands"))
         check_value("signal", "subbands", raw["subbands"], list)
@@ -229,25 +205,9 @@ class GridSpectrumSpec:
                 raise InvalidSpecError(f"duplicate tone bin {tone.bin_index}")
             seen.add(tone.bin_index)
 
-    @property
-    def sparsity(self) -> int:
-        """Occupied DFT bins, counting both mirrored halves."""
-        return 2 * len(self.tones)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "reference_length": self.reference_length,
-                "nyquist_hz": self.nyquist_rate,
-                "tones": [[t.bin_index, t.amplitude, t.phase] for t in self.tones],
-                "background": [self.background_level, self.background_seed],
-            },
-            sort_keys=True,
-        )
-
     @classmethod
-    def from_json(cls, text: str) -> "GridSpectrumSpec":
-        raw = _load_json("grid spectrum", text)
+    def from_dict(cls, raw) -> "GridSpectrumSpec":
+        """The spec of a parsed ``signal`` config object."""
         check_keys("grid spectrum", raw, ("reference_length", "nyquist_hz", "tones", "background"),
                    ("reference_length", "nyquist_hz", "tones"))
         check_value("grid spectrum", "tones", raw["tones"], list)
@@ -270,10 +230,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.rate
 
 
 @dataclass(frozen=True)
@@ -375,7 +331,6 @@ def random_grid_spectrum(
     sparsity: int,
     n_groups: int,
     *,
-    power_db_range: tuple[float, float] = (7.0, 25.0),
     noise_power: float = 1.0,
     amplitude_scale: float = 1.0,
     background_level: float = 0.0,
@@ -384,7 +339,7 @@ def random_grid_spectrum(
     contiguous bands.
 
     Each group carries one power level with power / noise_power uniform in dB
-    over ``power_db_range``; every tone in a group has amplitude
+    over [7, 25]; every tone in a group has amplitude
     ``amplitude_scale * sqrt(2 * group_power)`` and a random phase.  A nonzero
     ``background_level`` attaches a white sample floor with a seed drawn from
     ``rng``.
@@ -404,14 +359,11 @@ def random_grid_spectrum(
     # Random disjoint placement of contiguous groups in (0, half), with at
     # least one empty bin between neighbouring groups.
     free = half - 1 - sum(sizes) - (n_groups - 1)
-    if free < 0:
-        raise ParameterError("groups do not fit below the Nyquist bin")
     offsets = np.sort(rng.integers(0, free + 1, size=n_groups))
     tones = []
-    lo_db, hi_db = power_db_range
     for i, (size, off) in enumerate(zip(sizes, offsets)):
         begin = 1 + int(off) + sum(sizes[:i]) + i
-        group_power = noise_power * 10.0 ** (rng.uniform(lo_db, hi_db) / 10.0)
+        group_power = noise_power * 10.0 ** (rng.uniform(7.0, 25.0) / 10.0)
         amp = amplitude_scale * math.sqrt(2.0 * group_power)
         for m in range(begin, begin + size):
             tones.append(GridTone(bin_index=m, amplitude=amp, phase=float(rng.uniform(0, 2 * math.pi))))

@@ -14,6 +14,9 @@ statistic sqrt(pi * n / 2) * rho concentrates around the spectral error
 
     sqrt(pi n / 2) rho / (1 + eta)  <=  ||X - Xhat||_2  <=  sqrt(pi n / 2) rho / (1 - eta).
 
+:func:`confidence_interval` gives this interval, which depends on rho, n and
+eta only; :func:`confidence_floor_noiseless` gives its confidence bound.
+
 Sensing halts once rho <= threshold(1 - eta) sqrt(2 / (pi n)), or, when a
 failure probability xi is targeted instead of a fixed eta, once
 
@@ -123,7 +126,6 @@ class ValidationReport:
     scaled_rho: float
     interval_low: float
     interval_high: float
-    confidence_floor: float
 
 
 def scaled_validation_parameter(rho: float, n: int) -> float:
@@ -133,40 +135,30 @@ def scaled_validation_parameter(rho: float, n: int) -> float:
     return math.sqrt(math.pi * n / 2.0) * rho
 
 
-def confidence_interval(
-    rho: float,
-    n: int,
-    eta: float,
-    v_p: int,
-    jl_constant: float = 1.0,
-) -> ValidationReport:
+def confidence_interval(rho: float, n: int, eta: float) -> ValidationReport:
     """Two-sided error interval implied by the validation parameter.
 
     At spectrum length ``n`` the true spectral error lies in
-    [scaled/(1+eta), scaled/(1-eta)] with probability at least
-    1 - 4 exp(-v_p eta^2 / C), reported clipped to [0, 1] as
-    ``confidence_floor``.
+    [scaled/(1+eta), scaled/(1-eta)], with a probability that
+    :func:`confidence_floor_noiseless` bounds from below.
     """
     if rho < 0:
         raise ParameterError("rho must be >= 0")
     if not 0.0 < eta < 0.5:
         raise ParameterError("eta must lie in (0, 0.5)")
-    if v_p < 1:
-        raise ParameterError("v_p must be >= 1")
-    if jl_constant <= 0:
-        raise ParameterError("jl_constant must be positive")
     scaled = scaled_validation_parameter(rho, n)
     return ValidationReport(
         scaled_rho=scaled,
         interval_low=scaled / (1.0 + eta),
         interval_high=scaled / (1.0 - eta),
-        confidence_floor=confidence_floor_noiseless(v_p, eta, jl_constant),
     )
 
 
 def confidence_floor_noiseless(v_p: int, eta: float, jl_constant: float = 1.0) -> float:
-    """Lower bound 1 - 4 exp(-v_p eta^2 / C) on the interval's coverage,
-    clipped to [0, 1]."""
+    """Lower bound 1 - 4 exp(-v_p eta^2 / C) on the coverage of the
+    :func:`confidence_interval` from ``v_p`` testing rows, clipped to [0, 1]."""
+    if jl_constant <= 0:
+        raise ParameterError("jl_constant must be positive")
     floor = 1.0 - 4.0 * math.exp(-v_p * eta * eta / jl_constant)
     return min(max(floor, 0.0), 1.0)
 

@@ -1,9 +1,11 @@
 """Property tests of the one config path: valid configs survive a JSON round
-trip unchanged, and one poisoned scalar field is always a ParameterError."""
+trip unchanged, signal specs parse back from their wire dicts, and one
+poisoned scalar field is always a ParameterError."""
 
 import dataclasses
 import json
 import math
+import re
 import typing
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widesense.engine import DetectorConfig, FrameConfig
-from widesense.errors import ParameterError
+from widesense.errors import InvalidSpecError, ParameterError
 from widesense.experiments import _EXPERIMENTS, EXPERIMENT_NAMES, ExperimentConfig
 from widesense.signals import GridSpectrumSpec, GridTone, SubbandSpec, WidebandSignalSpec
 from widesense.validation import HaltingConfig
@@ -156,12 +158,56 @@ def test_configs_round_trip_through_json(kind):
     check()
 
 
+def _wire(spec) -> dict:
+    """The ``signal`` object of a frame config that describes ``spec``."""
+    if isinstance(spec, GridSpectrumSpec):
+        return {
+            "reference_length": spec.reference_length,
+            "nyquist_hz": spec.nyquist_rate,
+            "tones": [[t.bin_index, t.amplitude, t.phase] for t in spec.tones],
+            "background": [spec.background_level, spec.background_seed],
+        }
+    return {
+        "W_hz": spec.total_bandwidth,
+        "subbands": [{"E": sb.power, "B_hz": sb.bandwidth, "fc_hz": sb.center_frequency}
+                     for sb in spec.subbands],
+        "alpha_s": spec.time_offset,
+        "nyquist_hz": spec.nyquist_rate,
+    }
+
+
+# owner named in the errors, keys that may be left out
+WIRE = {GridSpectrumSpec: ("grid spectrum", {"background"}),
+        WidebandSignalSpec: ("signal", {"alpha_s", "nyquist_hz"})}
+
+
 @pytest.mark.parametrize("kind", ["wideband", "grid"])
-def test_signal_specs_round_trip_through_json(kind):
+def test_signal_specs_parse_back_from_their_wire_dicts(kind):
     @FEW
     @given(SPECS[kind])
     def check(spec):
-        assert type(spec).from_json(spec.to_json()) == spec
+        assert type(spec).from_dict(json.loads(json.dumps(_wire(spec)))) == spec
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["wideband", "grid"])
+def test_signal_specs_reject_unknown_and_missing_keys_by_name(kind):
+    @FEW
+    @given(SPECS[kind], st.data())
+    def check(spec, data):
+        cls = type(spec)
+        owner, optional = WIRE[cls]
+        raw = _wire(spec)
+        extra = data.draw(st.text(min_size=1, max_size=8).filter(lambda key: key not in raw))
+        with pytest.raises(InvalidSpecError,
+                           match=re.escape(f"unknown {owner} config keys: {[extra]}")):
+            cls.from_dict({**raw, extra: 1.0})
+        gone = data.draw(st.sampled_from(sorted(set(raw) - optional)))
+        del raw[gone]
+        with pytest.raises(InvalidSpecError,
+                           match=re.escape(f"missing {owner} config keys: {[gone]}")):
+            cls.from_dict(raw)
 
     check()
 
@@ -177,9 +223,9 @@ def _scalar_fields(obj):
 
 
 def _rebuild(obj, name, value):
-    """``obj`` with one field changed: through ``from_dict`` where the class
-    has one, else through its constructor."""
-    if hasattr(obj, "from_dict"):
+    """``obj`` with one field changed: through ``to_dict`` and ``from_dict``
+    where the class serializes itself, else through its constructor."""
+    if hasattr(obj, "to_dict"):
         return type(obj).from_dict({**obj.to_dict(), name: value})
     return dataclasses.replace(obj, **{name: value})
 

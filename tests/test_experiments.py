@@ -1,3 +1,6 @@
+import concurrent.futures
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -216,11 +219,6 @@ class TestResultTable:
         assert payload["schema"] == ["a", "b", "c", "d"]
         assert payload["rows"] == [{"a": None, "b": 1, "c": 7, "d": 0.5}]
 
-    def test_column_access(self):
-        assert self._table().column("c") == [7]
-        with pytest.raises(ParameterError):
-            self._table().column("z")
-
     def test_write_csv_and_json(self, tmp_path):
         table = self._table()
         csv_path = tmp_path / "t.csv"
@@ -311,7 +309,7 @@ class TestRunners:
         table = run_experiment(cfg)
         assert table.rows[0]["step"] == 1
         assert table.rows[0]["reached"] == 2
-        steps = table.column("step")
+        steps = [row["step"] for row in table.rows]
         assert steps == sorted(steps)
         assert all(row["testing_per_step"] == 10 for row in table.rows)
         assert all(0.0 <= row["window_fraction"] <= 1.0 for row in table.rows)
@@ -423,6 +421,20 @@ class TestIntervalCoverage:
     def test_is_deterministic(self):
         assert self._coverage(0.3, 20, 500, 4) == self._coverage(0.3, 20, 500, 4)
 
+    def test_zero_jl_constant_is_rejected_before_any_trial(self, monkeypatch):
+        trials = []
+
+        def counting(*args):
+            trials.append(args)
+            return experiments._coverage_trial(*args)
+
+        spec = experiments._EXPERIMENTS["interval_coverage"]
+        monkeypatch.setitem(experiments._EXPERIMENTS, "interval_coverage", dataclasses.replace(
+            spec, trial=functools.partial(experiments._each_seed, counting)))
+        with pytest.raises(ParameterError, match="jl_constant must be positive"):
+            run_experiment(_coverage_cfg(base={"signal_length": 32, "jl_constant": 0.0}))
+        assert trials == []
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self):
@@ -459,11 +471,51 @@ class TestDeterminism:
 
     def test_every_worker_gets_a_chunk(self):
         streams = substreams(1, "trial", np.arange(10))
-        # Chunks of 500 would leave two of three workers idle; shares of
-        # ceil(10 / 3) = 4 trials give each one a chunk.
-        assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 500, 3) == [4] * 8 + [2] * 2
-        assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 500, 1) == [10] * 10
-        assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 3, 2) == [3] * 9 + [1]
+        with concurrent.futures.ThreadPoolExecutor(2) as threads:
+            def chunks(size, workers):
+                return experiments._map_trials(_chunk_lengths, {}, {}, streams, size, workers,
+                                               lambda: threads)
+
+            # Chunks of 500 would leave two of three workers idle; shares of
+            # ceil(10 / 3) = 4 trials give each one a chunk.
+            assert chunks(500, 3) == [4] * 8 + [2] * 2
+            assert chunks(500, 1) == [10] * 10
+            assert chunks(3, 2) == [3] * 9 + [1]
+
+    def test_one_process_pool_serves_the_whole_sweep(self, monkeypatch):
+        # Three cells of two chunks each at two workers start one pool, whose
+        # workers pin BLAS, and the sweep shuts it down before it returns.
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                assert kwargs == {"max_workers": 2, "initializer": experiments._pin_worker}
+                super().__init__(**kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        cfg = dict(name="halting_probability", trials=23, master_seed=8,
+                   grid={"accuracy_factor": [0.6], "testing_size": [20, 40, 60]})
+        pooled = run_experiment(ExperimentConfig(**cfg, workers=2))
+        assert len(pools) == 1
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pools[0].submit(int)
+        assert pooled.to_csv_text() == run_experiment(ExperimentConfig(**cfg)).to_csv_text()
+        assert len(pools) == 1
+
+    def test_a_serial_run_imports_no_pool_machinery(self):
+        script = (
+            "import sys\n"
+            "from widesense.experiments import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig(name='halting_probability', trials=30,\n"
+            "    grid={'accuracy_factor': [0.6], 'testing_size': [10, 20]}))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        source = str(Path(widesense.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+        assert done.stdout.split() == ["False"]
 
     @pytest.mark.parametrize("name, trials, cell", [
         ("halting_probability", 300, {"accuracy_factor": 0.6, "testing_size": 60}),
@@ -491,7 +543,8 @@ class TestDeterminism:
         cfg = _tiny_cfg(name)
         label = TINY[name][1]
         path = (name,) if label is None else (name, label)
-        assert set(run_experiment(cfg).column("seed_base")) == {stream_seed(cfg.master_seed, *path)}
+        seed_bases = {row["seed_base"] for row in run_experiment(cfg).rows}
+        assert seed_bases == {stream_seed(cfg.master_seed, *path)}
 
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
         # A pursuit-heavy cell whose last digits move with the BLAS thread

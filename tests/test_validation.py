@@ -12,6 +12,7 @@ from widesense.validation import (
     HaltingConfig,
     accuracy_from_confidence,
     can_halt,
+    confidence_floor_noiseless,
     confidence_floor_noisy,
     confidence_interval,
     halting_rule,
@@ -134,24 +135,35 @@ def test_scaled_parameter_formula():
 
 class TestConfidenceInterval:
     def test_frozen_example(self):
-        report = confidence_interval(rho=0.1, n=200, eta=0.2, v_p=40)
+        report = confidence_interval(rho=0.1, n=200, eta=0.2)
         assert report.scaled_rho == pytest.approx(1.7724538509055163)
         assert report.interval_low == pytest.approx(1.477044875754597)
         assert report.interval_high == pytest.approx(2.215567313631895)
-        assert report.confidence_floor == pytest.approx(0.19241392802137847)
-
-    def test_floor_clips_to_zero(self):
-        report = confidence_interval(rho=0.1, n=200, eta=0.2, v_p=1)
-        assert report.confidence_floor == 0.0
 
     def test_interval_contains_scaled_value(self):
-        report = confidence_interval(rho=0.37, n=300, eta=0.3, v_p=50)
+        report = confidence_interval(rho=0.37, n=300, eta=0.3)
         assert report.interval_low <= report.scaled_rho <= report.interval_high
 
     def test_eta_range_enforced(self):
         for eta in (0.0, 0.5, 0.7):
             with pytest.raises(ParameterError):
-                confidence_interval(0.1, 100, eta, 10)
+                confidence_interval(0.1, 100, eta)
+
+
+class TestNoiselessConfidenceFloor:
+    def test_frozen_example(self):
+        assert confidence_floor_noiseless(40, 0.2) == 0.19241392802137847
+
+    def test_floor_clips_to_zero(self):
+        assert confidence_floor_noiseless(1, 0.2) == 0.0
+
+    def test_jl_constant_scales_the_exponent(self):
+        assert confidence_floor_noiseless(80, 0.2, 2.0) == confidence_floor_noiseless(40, 0.2)
+
+    @pytest.mark.parametrize("jl_constant", [0.0, -1.0])
+    def test_rejects_non_positive_jl_constant(self, jl_constant):
+        with pytest.raises(ParameterError, match="jl_constant must be positive"):
+            confidence_floor_noiseless(40, 0.2, jl_constant)
 
 
 class TestSizingRules:
