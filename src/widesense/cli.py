@@ -4,16 +4,20 @@
 writes (or prints) its result table; ``widesense frame`` runs one complete
 sensing frame; ``widesense list`` names the experiments;
 ``widesense calibrate-lambda`` fits the energy-detection threshold to a
-false-alarm target.  Config errors exit 1, runtime failures exit 2.
+false-alarm target.  Config errors exit 1, runtime failures exit 2, and a
+closed standard output exits 141 (128 + SIGPIPE, as a shell reports it).
 
 Each section of a JSON config is built by its class's ``from_dict``; a
-``signal`` with ``tones`` is a grid spectrum, any other a wideband one.
+``signal`` with ``reference_length`` is a grid spectrum, any other a
+wideband one.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import warnings
 
 from .engine import DetectorConfig, FrameConfig, calibrate_lambda, run_frame, uniform_bands
 from .errors import ParameterError, check_keys, check_value
@@ -21,7 +25,6 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
     load_config,
-    pin_blas_threads,
     read_json,
     run_experiment,
     write_atomic,
@@ -70,7 +73,7 @@ _CALIBRATE_KEYS = ("frame", "halting", "bands", "band_count", "false_alarm", "tr
 
 
 def _signal_from_dict(raw):
-    if isinstance(raw, dict) and "tones" in raw:
+    if isinstance(raw, dict) and "reference_length" in raw:
         return GridSpectrumSpec.from_dict(raw)
     return WidebandSignalSpec.from_dict(raw)
 
@@ -85,8 +88,7 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_dict(fields)
     table = run_experiment(cfg)
     if out:
-        fmt = args.format or ("json" if out.endswith(".json") else "csv")
-        table.write(out, fmt)
+        table.write(out, args.format)
         print(f"{cfg.name}: {len(table)} rows -> {out}")
     else:
         text = table.to_json_text() if args.format == "json" else table.to_csv_text()
@@ -151,18 +153,30 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"widesense: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        with pin_blas_threads():
-            return _COMMANDS[args.command](args)
-    except ParameterError as exc:
-        print(f"widesense: config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive catch-all
-        print(f"widesense: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            code = _COMMANDS[args.command](args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # The reader is gone.  Python flushes stdout again at exit, so
+            # point it at devnull, as the signal module's docs advise.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        except ParameterError as exc:
+            print(f"widesense: config error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # pragma: no cover - defensive catch-all
+            print(f"widesense: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ steps for data transmission; if the budget runs out first the outcome
 carries a recommendation to raise the sampling rate next frame.
 
 One private generator is the frame loop: each step synthesises its window,
-draws its matrices and noise from seeds of its own, acquires and recovers.
+draws its matrices and noise from seeds of its own, acquires and recovers,
+with BLAS on one thread (:func:`~widesense.rng.pin_blas_threads`), so that
+outcomes do not depend on the BLAS thread count.
 No step depends on another, so :func:`run_frame` skips the steps where the
 halting rule cannot fire (too few testing rows for ``min_testing``) but the
 last: a closed step cannot halt the frame, so the outcome is unchanged.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import RecoveryResult, sasr
-from .rng import stream_seed, substreams
+from .rng import pin_blas_threads, stream_seed, substreams
 from .sensing import acquire
 from .signals import (
     GridSpectrumSpec,
@@ -208,7 +210,8 @@ def _frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
     """The frame loop: yield ``(p, window, measurements, recovery)`` per step.
 
     With ``skip_closed`` a step before the last is not run at all where
-    :func:`~widesense.validation.can_halt` denies its testing rows.
+    :func:`~widesense.validation.can_halt` denies its testing rows.  The caller's
+    BLAS thread count holds while the generator is suspended.
     """
     _check_spec(spec, frame)
     v = frame.testing_per_step
@@ -217,11 +220,12 @@ def _frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
     for p in range(1, p_max + 1):
         if skip_closed and p < p_max and not can_halt(halting, v * p):
             continue
-        window = signal_time_series(spec, p * frame.time_step)
-        ms = acquire(window, (frame.measurements_per_step - v) * p, v * p,
-                     stream_seed(master_seed, "phi", p), stream_seed(master_seed, "psi", p),
-                     noise_std=delta, noise_seed=stream_seed(master_seed, "noise", p))
-        recovery = sasr(ms, halting)
+        with pin_blas_threads():
+            window = signal_time_series(spec, p * frame.time_step)
+            ms = acquire(window, (frame.measurements_per_step - v) * p, v * p,
+                         stream_seed(master_seed, "phi", p), stream_seed(master_seed, "psi", p),
+                         noise_std=delta, noise_seed=stream_seed(master_seed, "noise", p))
+            recovery = sasr(ms, halting)
         yield p, window, ms, recovery
         if recovery.halted_by == "criterion":
             return

@@ -44,15 +44,12 @@ CSV/JSON no matter how many workers run the trials.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
-import glob
 import itertools
 import json
 import math
 import os
 import tempfile
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -71,7 +68,7 @@ import numpy as np
 from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp
-from .rng import stream_seed, substreams
+from .rng import _pin_worker, pin_blas_threads, stream_seed, substreams
 from .sensing import acquire, draw_operator
 from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
 from .validation import (
@@ -269,65 +266,14 @@ class ResultTable:
         }
         return json.dumps(payload, indent=2) + "\n"
 
-    def write(self, path: str, fmt: str = "csv") -> None:
-        """Atomically write the table; partial files never land on disk."""
+    def write(self, path: str, fmt: str | None = None) -> None:
+        """Atomically write the table; partial files never land on disk.
+        Without ``fmt``, a path ending in ``.json`` gets JSON, any other CSV."""
+        if fmt is None:
+            fmt = "json" if str(path).endswith(".json") else "csv"
         if fmt not in ("csv", "json"):
             raise ParameterError(f"format must be 'csv' or 'json', got {fmt!r}")
         write_atomic(path, self.to_csv_text() if fmt == "csv" else self.to_json_text())
-
-
-# (getter, setter) name pairs of the thread count of an OpenBLAS build.
-_BLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_threads():
-    """The (getter, setter) of the thread count of the OpenBLAS bundled with
-    NumPy, or None when no known pair is found."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
-@contextlib.contextmanager
-def pin_blas_threads():
-    """Run the block with the OpenBLAS bundled with NumPy on one thread, so
-    that products, and hence table bytes, do not depend on the BLAS thread
-    count; use more workers, not more BLAS threads, for speed.  The caller's
-    thread count is restored afterwards.  Warns when no known thread setter
-    is found."""
-    found = _blas_threads()
-    if found is None:
-        warnings.warn("no OpenBLAS thread setter found; tables may differ in the last "
-                      "bits from one BLAS thread count to another", RuntimeWarning,
-                      stacklevel=3)
-        yield
-        return
-    getter, setter = found
-    saved = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(saved)
-
-
-def _pin_worker() -> None:
-    """Pool initializer: a worker keeps OpenBLAS on one thread for its life."""
-    found = _blas_threads()
-    if found is not None:
-        found[1](1)
 
 
 def _each_seed(trial, cell: dict, base: dict, streams) -> list:
@@ -888,6 +834,5 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run the named experiment and write ``output_path`` if set."""
     table = _sweep(cfg)
     if cfg.output_path:
-        fmt = "json" if cfg.output_path.endswith(".json") else "csv"
-        table.write(cfg.output_path, fmt)
+        table.write(cfg.output_path)
     return table

@@ -132,33 +132,6 @@ class FourierDictionary:
         return cols if np.ndim(j) else cols[0]
 
 
-class _DenseOps:
-    """Adapter giving a dense dictionary, or a stack of them, the
-    FourierDictionary interface."""
-
-    def __init__(self, dictionary: np.ndarray):
-        self.A = dictionary.astype(np.complex128)
-        self.shape = dictionary.shape[-2:]
-        self.trials = 1 if dictionary.ndim == 2 else len(dictionary)
-
-    def correlations(self, residual: np.ndarray) -> np.ndarray:
-        return (residual[..., None, :] @ self.A.conj())[..., 0, :]
-
-    def column(self, j) -> np.ndarray:
-        stack = self.A.reshape((-1, *self.shape))
-        cols = np.take_along_axis(stack, np.reshape(j, (-1, 1, 1)), axis=-1)[..., 0]
-        return cols if np.ndim(j) else cols[0]
-
-
-def _as_ops(dictionary):
-    if isinstance(dictionary, (FourierDictionary, _DenseOps)):
-        return dictionary
-    dictionary = np.asarray(dictionary)
-    if dictionary.ndim not in (2, 3):
-        raise DimensionError("dictionary must be 2-D, or a 3-D stack of trials")
-    return _DenseOps(dictionary)
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     """Outcome of one pursuit run.
@@ -335,30 +308,30 @@ def _fixed_k_label(fit: _IncrementalFit, b: int, k: int) -> str:
 def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
     """Matching pursuit for exactly ``k`` iterations.
 
-    ``dictionary`` may be a dense array or a :class:`FourierDictionary`.
+    ``dictionary`` is one trial's :class:`FourierDictionary`, or any object
+    with its ``shape``, ``trials``, ``correlations`` and ``column``.
     Stops early (reported as "k_max_exhausted") only if the training
     residual reaches its numerical floor, or the selected column repeats or
     goes rank deficient.
     """
     training = np.asarray(training, dtype=np.complex128)
-    ops = _as_ops(dictionary)
-    if ops.trials != 1:
+    if dictionary.trials != 1:
         raise DimensionError("omp takes one trial's dictionary, not a stack")
-    if ops.shape[0] != training.size:
+    if dictionary.shape[0] != training.size:
         raise DimensionError("dictionary rows must match training size")
-    _check_k(k, ops.shape[0])
-    return _omp_batch(ops, training[None], k)[0]
+    _check_k(k, dictionary.shape[0])
+    return _omp_batch(dictionary, training[None], k)[0]
 
 
 def _omp_batch(dictionary, training: np.ndarray, k: int) -> list[RecoveryResult]:
     """:func:`omp` on each trial of a stack, in one pursuit.
 
     ``training`` is (B, rows) and ``dictionary`` holds the B trials'
-    dictionaries: a stacked :class:`FourierDictionary` or a (B, rows, n)
-    dense stack.  Each result equals the one-trial :func:`omp` run of its
-    trial bit for bit.
+    dictionaries: a stacked :class:`FourierDictionary`, or any object with
+    its ``shape``, ``trials``, ``correlations`` and ``column``.  Each result
+    equals the one-trial :func:`omp` run of its trial bit for bit.
     """
-    fit = _IncrementalFit(_as_ops(dictionary), training, k)
+    fit = _IncrementalFit(dictionary, training, k)
     for _ in _pursue(fit, k):
         pass
     return [_result(fit, b, (), _fixed_k_label(fit, b, k)) for b in range(len(training))]

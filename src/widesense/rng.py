@@ -14,11 +14,19 @@ seeds and once for the PCG64 seeding words of their generators.  The
 the state ``np.random.default_rng(seed)`` would have.  ``numpy.random``
 itself is imported at the first such build, since it loads hashlib's OpenSSL
 backend, which a process that draws nothing need not pay for.
+
+Seeds fix the draws, and :func:`pin_blas_threads` the arithmetic on them:
+each frame step, each sweep and each sweep pool worker runs BLAS on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import glob
+import os
+import warnings
 import zlib
 
 import numpy as np
@@ -190,3 +198,57 @@ def _pcg64():
 
     ISeedSequence.register(_SeedingWords)
     return Generator, PCG64
+
+
+# (getter, setter) name pairs of the thread count of an OpenBLAS build.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """The (getter, setter) of the thread count of the OpenBLAS bundled with
+    NumPy, or None when no known pair is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def pin_blas_threads():
+    """Run the block with the OpenBLAS bundled with NumPy on one thread, so
+    that products, and hence table bytes, do not depend on the BLAS thread
+    count; use more workers, not more BLAS threads, for speed.  The caller's
+    thread count is restored afterwards.  Warns when no known thread setter
+    is found."""
+    found = _blas_threads()
+    if found is None:
+        warnings.warn("no OpenBLAS thread setter found; tables may differ in the last "
+                      "bits from one BLAS thread count to another", RuntimeWarning,
+                      stacklevel=3)
+        yield
+        return
+    getter, setter = found
+    saved = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(saved)
+
+
+def _pin_worker() -> None:
+    """Pool initializer: a worker keeps OpenBLAS on one thread for its life."""
+    found = _blas_threads()
+    if found is not None:
+        found[1](1)

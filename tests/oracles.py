@@ -2,6 +2,8 @@
 
 They are exact but slow (dense dictionaries, support enumeration, a fresh
 inverse DFT per call), so the package itself never calls them.
+:class:`DenseDictionary` lets the package's pursuit run over a dense
+dictionary, for comparison with these solvers.
 """
 
 from __future__ import annotations
@@ -40,6 +42,29 @@ def sensing_dictionary(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2:
         raise DimensionError("measurement matrix must be two-dimensional")
     return np.fft.ifft(matrix, axis=1)
+
+
+class DenseDictionary:
+    """A dense dictionary, or a (trials, rows, n) stack of them, with the
+    interface :func:`widesense.recovery.omp` pursues over: ``shape``,
+    ``trials``, ``correlations`` and ``column``, as
+    :class:`widesense.recovery.FourierDictionary` has them."""
+
+    def __init__(self, dictionary):
+        dictionary = np.asarray(dictionary)
+        if dictionary.ndim not in (2, 3):
+            raise DimensionError("dictionary must be 2-D, or a 3-D stack of trials")
+        self.A = dictionary.astype(np.complex128)
+        self.shape = dictionary.shape[-2:]
+        self.trials = 1 if dictionary.ndim == 2 else len(dictionary)
+
+    def correlations(self, residual: np.ndarray) -> np.ndarray:
+        return (residual[..., None, :] @ self.A.conj())[..., 0, :]
+
+    def column(self, j) -> np.ndarray:
+        stack = self.A.reshape((-1, *self.shape))
+        cols = np.take_along_axis(stack, np.reshape(j, (-1, 1, 1)), axis=-1)[..., 0]
+        return cols if np.ndim(j) else cols[0]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from widesense.experiments import ExperimentConfig, default_config, run_experiment
-from oracles import brute_force_l0
+from oracles import DenseDictionary, brute_force_l0
 from widesense.recovery import omp
 from widesense.signals import Spectrum, TimeSeries, dft, idft
 from widesense.validation import (
@@ -127,7 +127,7 @@ def test_pursuit_invariants_and_oracle():
         k = int(rng.integers(1, 3))
         support = rng.choice(16, size=k, replace=False)
         y = (A[:, support] @ (rng.standard_normal(k) + 1.0)).astype(complex)
-        result = omp(y, A, k)
+        result = omp(y, DenseDictionary(A), k)
 
         trace = result.residual_trace
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,3 +369,52 @@ def test_run_frame_determinism():
     c = run_frame(FOUR_TONES, _frame(), _halting(), det, 12)
     assert a.steps_used == b.steps_used
     assert c.to_json() != a.to_json() or c.steps_used != a.steps_used
+
+
+# Frame-scale frames (1000 Nyquist samples and 200 rows per step) whose last
+# bits move with the BLAS thread count unless each step pins BLAS to one
+# thread, then a calibration.  Standard error gets the caller's thread count
+# after run_frame and at each suspension of an iter_frame_steps generator.
+_BLAS_SCRIPT = """
+import sys
+import numpy as np
+from widesense.engine import (DetectorConfig, FrameConfig, calibrate_lambda, iter_frame_steps,
+                              run_frame, uniform_bands)
+from widesense.rng import _blas_threads
+from widesense.signals import random_grid_spectrum
+from widesense.validation import HaltingConfig
+
+getter, _ = _blas_threads()
+frame = FrameConfig(frame_length=4e-6, min_transmission=2.4e-6, time_step=0.2e-6,
+                    nyquist_rate=5e9, sub_nyquist_rate=1e9, testing_per_step=60)
+halting = HaltingConfig(mode="noiseless", max_sparsity=80, error_threshold=1.0,
+                        confidence_factor=0.2)
+detector = DetectorConfig(uniform_bands(2.5e9, 4), 10.0)
+threads = []
+for seed in range(4):
+    spec = random_grid_spectrum(np.random.default_rng(seed), 1000, 5e9, 32, 4,
+                                amplitude_scale=0.08, background_level=1e-4)
+    print(run_frame(spec, frame, halting, detector, seed).to_json())
+    threads.append(getter())
+for _p, _window, _ms, recovery in iter_frame_steps(spec, frame, halting, 7):
+    threads.append(getter())
+    print(recovery.estimate.bins.tobytes().hex())
+noisy = HaltingConfig(mode="noisy", max_sparsity=8, noise_std=0.5, accuracy=0.02)
+print(repr(calibrate_lambda(frame, noisy, uniform_bands(2.5e9, 4), 0.25, 3, 3)))
+threads.append(getter())
+sys.stderr.write(" ".join(map(str, threads)))
+"""
+
+
+def test_frames_do_not_depend_on_the_blas_thread_count():
+    source = str(Path(engine.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], capture_output=True,
+                              env=env, timeout=300, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    counts = done.stderr.decode().split()
+    assert len(counts) > 5 and set(counts) == {"2"}

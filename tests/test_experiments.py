@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import widesense
-from widesense import engine, experiments
+from widesense import engine, experiments, rng
 from widesense.cli import main
 from widesense.errors import InvalidSpecError, ParameterError
 from widesense.experiments import (
@@ -230,6 +231,14 @@ class TestResultTable:
         with pytest.raises(ParameterError):
             table.write(str(tmp_path / "t.txt"), "txt")
         assert not list(tmp_path.glob("*.part"))
+        # Without a format the suffix decides: .json is JSON, anything else
+        # CSV; a given format wins over the suffix.
+        table.write(str(tmp_path / "u.json"))
+        assert (tmp_path / "u.json").read_text() == table.to_json_text()
+        table.write(str(tmp_path / "u.txt"))
+        assert (tmp_path / "u.txt").read_text() == table.to_csv_text()
+        table.write(str(tmp_path / "v.json"), "csv")
+        assert (tmp_path / "v.json").read_text() == table.to_csv_text()
 
 
 class TestSignificantRelativeMse:
@@ -489,7 +498,7 @@ class TestDeterminism:
 
         class Counting(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, **kwargs):
-                assert kwargs == {"max_workers": 2, "initializer": experiments._pin_worker}
+                assert kwargs == {"max_workers": 2, "initializer": rng._pin_worker}
                 super().__init__(**kwargs)
                 pools.append(self)
 
@@ -572,8 +581,8 @@ class TestDeterminism:
                                    "grid": {"measurements": [180], "sparsity": [80]}}))
         script = (
             "import sys\n"
-            "from widesense import experiments\n"
-            "getter, _ = experiments._blas_threads()\n"
+            "from widesense import experiments, rng\n"
+            "getter, _ = rng._blas_threads()\n"
             "before = getter()\n"
             "table = experiments.run_experiment(experiments.load_config(sys.argv[1]))\n"
             "sys.stdout.write(table.to_csv_text())\n"
@@ -590,14 +599,14 @@ class TestDeterminism:
         assert in_process.stderr.decode() == "2 2"
 
     def test_missing_blas_setter_warns(self, monkeypatch):
-        monkeypatch.setattr(experiments.glob, "glob", lambda pattern: [])
-        experiments._blas_threads.cache_clear()
+        monkeypatch.setattr(rng.glob, "glob", lambda pattern: [])
+        rng._blas_threads.cache_clear()
         try:
             with pytest.warns(RuntimeWarning, match="no OpenBLAS thread setter"):
-                with experiments.pin_blas_threads():
+                with rng.pin_blas_threads():
                     pass
         finally:
-            experiments._blas_threads.cache_clear()
+            rng._blas_threads.cache_clear()
 
     def test_int_valued_real_is_written_as_float(self):
         table = run_experiment(_tiny_cfg("acss_vs_cs"))
@@ -765,11 +774,12 @@ class TestCli:
         (True, _signal(alpha_s="x"), "time_offset must be a real number"),
         (False, lambda raw: raw["halting"].update(jl_constant=None),
          "jl_constant must be a real number"),
+        (False, lambda raw: raw["signal"].pop("tones"), "missing grid spectrum config keys: ['tones']"),
     ], ids=["fractional-bin", "text-bin", "nan-amplitude", "boolean-amplitude", "inf-phase",
             "nan-background", "fractional-background-seed", "negative-background-seed",
             "float-reference-length", "unknown-signal-key", "unknown-subband-key",
             "unknown-top-level-key", "nan-W", "nan-E", "nan-fc", "nan-alpha", "text-alpha",
-            "null-jl-constant"])
+            "null-jl-constant", "grid-without-tones"])
     def test_ill_typed_signal_and_top_level_exit_one(self, tmp_path, capsys, wideband, edit,
                                                       message):
         payload = self._signal_payload(wideband)
@@ -780,6 +790,37 @@ class TestCli:
     @pytest.mark.parametrize("wideband", [False, True], ids=["grid", "wideband"])
     def test_signal_payloads_run(self, tmp_path, wideband):
         assert main(["frame", self._write(tmp_path, self._signal_payload(wideband))]) == 0
+
+    def test_warnings_print_as_one_line(self, tmp_path, capsys):
+        # A failure_prob this small leaves no residual that could halt at
+        # these testing sizes; each warning is one widesense line, and the
+        # caller's warning display is back afterwards.
+        payload = self._signal_payload(False)
+        payload["halting"].update(max_sparsity=8, failure_prob=1e-6)
+        shown = warnings.showwarning
+        assert main(["frame", self._write(tmp_path, payload)]) == 0
+        assert warnings.showwarning is shown
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("widesense: warning: halting criterion "
+                                             "unsatisfiable: confidence bracket ")
+                             for line in lines)
+
+    @pytest.mark.parametrize("command", ["list", "run"])
+    def test_a_closed_stdout_exits_141_quietly(self, tmp_path, command):
+        # The reader is gone before anything is written, as in
+        # `widesense list | true`: no traceback, no error line, code 141.
+        argv = [command] if command == "list" else ["run", self._write(
+            tmp_path, _coverage_cfg().to_dict())]
+        source = str(Path(widesense.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "widesense.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=path))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     @staticmethod
     def _signal_payload(wideband):

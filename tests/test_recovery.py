@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import (brute_force_l0, least_squares_on_support, sensing_dictionary,
-                     validation_parameter)
+from oracles import (DenseDictionary, brute_force_l0, least_squares_on_support,
+                     sensing_dictionary, validation_parameter)
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
 from widesense.recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp, sasr
 from widesense.sensing import MeasurementSet, acquire
@@ -139,7 +139,7 @@ class TestOmp:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((30, 80))
         y = (A @ rng.standard_normal(80)).astype(complex)
-        result = omp(y, A, 12)
+        result = omp(y, DenseDictionary(A), 12)
         trace = result.residual_trace
         assert len(trace) == 12
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
@@ -152,21 +152,21 @@ class TestOmp:
         x, phi, _ = _sparse_problem(seed=7)
         y = (phi @ x.samples).astype(complex)
         via_ops = omp(y, FourierDictionary(phi), 8)
-        via_dense = omp(y, sensing_dictionary(phi), 8)
+        via_dense = omp(y, DenseDictionary(sensing_dictionary(phi)), 8)
         assert set(via_ops.support) == set(via_dense.support)
         assert np.allclose(via_ops.estimate.bins, via_dense.estimate.bins, atol=1e-8)
 
     def test_k_zero_returns_zero_estimate(self):
-        result = omp(np.ones(4, dtype=complex), np.eye(4), 0)
+        result = omp(np.ones(4, dtype=complex), DenseDictionary(np.eye(4)), 0)
         assert result.support == ()
         assert result.halted_by == "fixed_k"
         assert np.all(result.estimate.bins == 0)
 
     def test_k_bounds(self):
         with pytest.raises(ParameterError):
-            omp(np.ones(4, dtype=complex), np.eye(4), -1)
+            omp(np.ones(4, dtype=complex), DenseDictionary(np.eye(4)), -1)
         with pytest.raises(ParameterError):
-            omp(np.ones(4, dtype=complex), np.eye(4), 5)
+            omp(np.ones(4, dtype=complex), DenseDictionary(np.eye(4)), 5)
 
     def test_strided_training_vector(self):
         x, phi, _ = _sparse_problem(seed=3)
@@ -181,7 +181,7 @@ class TestOmp:
         # two proportional columns: the second pick is rank deficient
         a = np.ones(4)
         y = np.array([1, 1, 1, 2], dtype=complex)
-        result = omp(y, np.column_stack([a, 2 * a]), 2)
+        result = omp(y, DenseDictionary(np.column_stack([a, 2 * a])), 2)
         assert result.halted_by == "k_max_exhausted"
         assert result.support == (1,)
         assert result.rank_deficient
@@ -189,7 +189,7 @@ class TestOmp:
     def test_exact_fit_stops_at_the_residual_floor(self):
         # the first pick fits y exactly, so no dependent pick is tried
         a = np.ones(4)
-        result = omp(a.astype(complex), np.column_stack([a, 2 * a]), 2)
+        result = omp(a.astype(complex), DenseDictionary(np.column_stack([a, 2 * a])), 2)
         assert result.halted_by == "k_max_exhausted"
         assert result.support == (1,)
         assert not result.rank_deficient
@@ -207,13 +207,13 @@ class TestOmp:
     def test_repeated_pick_stops_early(self):
         a = np.ones(4)
         A = np.column_stack([a, a, np.array([1.0, -1.0, 1.0, -1.0])])
-        result = omp(a.astype(complex), A, 3)
+        result = omp(a.astype(complex), DenseDictionary(A), 3)
         assert result.halted_by == "k_max_exhausted"
         assert result.support == (0,)
         assert not result.rank_deficient
 
     def test_rho_trace_empty_without_testing_data(self):
-        result = omp(np.ones(4, dtype=complex), np.eye(4), 2)
+        result = omp(np.ones(4, dtype=complex), DenseDictionary(np.eye(4)), 2)
         assert result.rho_trace == ()
 
 
@@ -473,7 +473,7 @@ class TestBatchInvariance:
                           rng.standard_normal((4, 2)), rng.standard_normal((4, 2))])
         training = np.array([[1, 1, 1, 2], a, rng.standard_normal(4), np.zeros(4)],
                             dtype=complex)
-        outcomes = self._batch_equals_single(stack, training, 2, np.asarray)
+        outcomes = self._batch_equals_single(stack, training, 2, DenseDictionary)
         assert outcomes == [
             ("k_max_exhausted", 1, True),    # the second pick is dependent
             ("k_max_exhausted", 1, False),   # the first pick fits exactly
@@ -524,7 +524,7 @@ class TestBruteForce:
             A = rng.standard_normal((10, 16))
             support = rng.choice(16, size=2, replace=False)
             y = (A[:, support] @ (rng.standard_normal(2) + 1.0)).astype(complex)
-            greedy = omp(y, A, 2)
+            greedy = omp(y, DenseDictionary(A), 2)
             resid = np.linalg.norm(y - A @ greedy.estimate.bins)
             if resid <= 1e-8 * np.linalg.norm(y):
                 exact = brute_force_l0(y, A, 2)

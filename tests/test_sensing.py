@@ -5,7 +5,7 @@ import pytest
 
 from oracles import sensing_dictionary
 from widesense.errors import DimensionError, ParameterError
-from widesense.experiments import pin_blas_threads
+from widesense.rng import pin_blas_threads
 from widesense.recovery import FourierDictionary
 from widesense.sensing import _BLOCK_ROWS, MeasurementSet, acquire, draw_matrix, draw_operator
 from widesense.signals import TimeSeries
