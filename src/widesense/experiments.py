@@ -69,7 +69,7 @@ from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, ru
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp
 from .rng import _pin_worker, pin_blas_threads, stream_seed, substreams
-from .sensing import acquire, draw_operator
+from .sensing import _receiver_noise, acquire, draw_operator
 from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
 from .validation import (
     HaltingConfig,
@@ -368,7 +368,7 @@ def _phase_transition_trials(cell, base, streams):
         signal = np.fft.ifft(spectra[b]).view(np.float64).reshape(n, 2)
         draw_operator(signal, m, rng, training[b].view(np.float64).reshape(m, 2),
                       dictionaries[b])
-    results = _omp_batch(FourierDictionary.from_spectra(dictionaries, n), training, k)
+    results = _omp_batch(FourierDictionary(dictionaries, n), training, k)
     rels = [_relative_sq_error(s, r.estimate.bins) for s, r in zip(spectra, results)]
     return [(rel <= SUCCESS_MSE, rel) for rel in rels]
 
@@ -516,8 +516,7 @@ def _acss_trial(cell, base, seed, rng):
     x = signal_time_series(spec, budget * frame.time_step).samples
     training, dictionary = draw_operator(x, frame.measurements_per_step * budget,
                                          stream_seed(seed, "baseline"))
-    baseline = omp(training, FourierDictionary.from_spectra(dictionary, len(x)),
-                   base["max_sparsity"])
+    baseline = omp(training, dictionary, base["max_sparsity"])
     truth = np.fft.fft(x)
     baseline_ok = _relative_sq_error(truth, baseline.estimate.bins) <= SUCCESS_MSE
     return adaptive_ok, baseline_ok, p_used
@@ -547,23 +546,17 @@ _HALTING_CHUNK = 500
 
 def _halting_trials(cell, base, streams):
     v, delta = cell["testing_size"], base["noise_std"]
-    halts = _noisy_rule(v, delta, cell["accuracy_factor"] * delta)
+    halting = HaltingConfig(mode="noisy", max_sparsity=1, noise_std=delta,
+                            accuracy=cell["accuracy_factor"] * delta)
+    halts = halting_rule(halting, 1, v)
     outcomes = []
     # With an exact estimate the testing residual is the receiver noise
     # alone; draw it as acquire does for one training row and v testing rows.
     for _seed, rng in substreams(streams.seeds, "noise"):
-        rng.standard_normal(2)
-        noise = delta * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
+        _receiver_noise(rng, 1, delta)
+        noise = _receiver_noise(rng, v, delta)
         outcomes.append(halts(float(np.abs(noise).sum() / v)))
     return outcomes
-
-
-@functools.lru_cache(maxsize=128)
-def _noisy_rule(testing_size: int, noise_std: float, accuracy: float):
-    """The one-step noisy halting rule, built once per cell of a sweep."""
-    halting = HaltingConfig(mode="noisy", max_sparsity=1, noise_std=noise_std,
-                            accuracy=accuracy)
-    return halting_rule(halting, 1, testing_size)
 
 
 def _halting_rows(cell, base, run):

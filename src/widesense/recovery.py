@@ -67,15 +67,14 @@ class FourierDictionary:
     """Sensing dictionary ``matrix @ inverse_dft``, held in the spectral domain.
 
     For a real (rows, n) measurement matrix the dictionary keeps only
-    ``spectra = np.fft.rfft(matrix, axis=-1)``: rows x (n // 2 + 1) complex
-    numbers, the bytes of the matrix plus at most 16 per row.  ``matrix`` may
-    also be a (B, rows, n) stack of B trials' matrices; ``shape`` is the
-    per-trial (rows, n) either way.  For a stack, :meth:`correlations`
-    takes a (B, rows) stack of residuals and returns (B, n), and
-    :meth:`column` takes one index per trial and returns a (B, rows) stack
-    of columns.  :meth:`from_spectra` wraps spectra built elsewhere, so the
-    matrix itself need never be held whole (see
-    :func:`widesense.sensing.draw_operator`).
+    ``spectra``, the C-contiguous ``np.fft.rfft`` of each row: rows x
+    (n // 2 + 1) complex numbers, the bytes of the matrix plus at most 16
+    per row.  ``spectra`` may also be a (B, rows, n // 2 + 1) stack of B
+    trials' spectra; ``shape`` is the per-trial (rows, n) either way.  For
+    a stack, :meth:`correlations` takes a (B, rows) stack of residuals and
+    returns (B, n), and :meth:`column` takes one index per trial and returns
+    a (B, rows) stack of columns.  :func:`widesense.sensing.draw_operator`
+    builds the spectra by row blocks, so the matrix need never be held whole.
 
     Column j of the dictionary is conj(spectra[:, j]) / n for j <= n / 2
     and spectra[:, n - j] / n above, so a column is a read, and column
@@ -88,25 +87,9 @@ class FourierDictionary:
     exactly as a one-trial product would.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
-        if matrix.ndim not in (2, 3):
-            raise DimensionError("measurement matrix must be 2-D, or a 3-D stack of trials")
-        if np.iscomplexobj(matrix):
-            raise ParameterError("FourierDictionary expects a real matrix")
-        self._hold(np.fft.rfft(matrix, axis=-1), matrix.shape[-1])
-
-    @classmethod
-    def from_spectra(cls, spectra: np.ndarray, n: int) -> "FourierDictionary":
-        """The dictionary of a real (..., rows, n) matrix, given its
-        ``np.fft.rfft`` along the rows as a C-contiguous complex array."""
+    def __init__(self, spectra: np.ndarray, n: int):
         if spectra.ndim not in (2, 3) or spectra.shape[-1] != n // 2 + 1:
             raise DimensionError(f"spectra {spectra.shape} are not the rfft of rows of length {n}")
-        ops = cls.__new__(cls)
-        ops._hold(spectra, n)
-        return ops
-
-    def _hold(self, spectra: np.ndarray, n: int) -> None:
         self.spectra = _frozen(spectra)
         self.shape = (spectra.shape[-2], n)
         self.trials = 1 if spectra.ndim == 2 else len(spectra)

@@ -57,13 +57,14 @@ def draw_operator(samples: np.ndarray, rows: int, seed,
                   spectra: np.ndarray | None = None):
     """Project ``samples`` through a fresh Gaussian matrix held only as spectra.
 
-    Returns ``(measurements, spectra)``: ``phi @ samples`` and
-    ``np.fft.rfft(phi, axis=-1)`` for ``phi = draw_matrix(rows, n, seed)``,
-    while at most ``_BLOCK_ROWS`` rows of phi exist at a time.  The spectra
-    are equal bit for bit, and so are the measurements with BLAS on one
-    thread.  ``samples`` is a real (n,) window, or (n, 2) for the
-    real and imaginary parts of a complex one.  Either output may be passed
-    in preallocated, such as one trial's slice of a stack.
+    Returns ``(measurements, dictionary)`` for ``phi = draw_matrix(rows, n,
+    seed)``: ``phi @ samples`` and the dictionary of ``np.fft.rfft(phi,
+    axis=-1)``, while at most ``_BLOCK_ROWS`` rows of phi exist at a time.
+    The spectra are equal bit for bit, and so are the measurements with BLAS
+    on one thread.  ``samples`` is a real (n,) window, or (n, 2) for the
+    real and imaginary parts of a complex one.  ``measurements`` and
+    ``spectra`` may be passed in preallocated, such as one trial's slice of
+    a stack, and are filled in place.
     """
     gen = np.random.default_rng(seed)
     n = len(samples)
@@ -78,7 +79,13 @@ def draw_operator(samples: np.ndarray, rows: int, seed,
         np.fft.rfft(block, axis=-1, out=spectra[start:stop])
         # Free the block before the next draw, not after it.
         del block
-    return measurements, spectra
+    return measurements, FourierDictionary(spectra, n)
+
+
+def _receiver_noise(rng: np.random.Generator, rows: int, std: float) -> np.ndarray:
+    """``rows`` entries of receiver noise std * (g1 + 1j * g2), drawn from
+    ``rng`` as all the real parts, then all the imaginary parts."""
+    return std * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
 
 
 @dataclass(frozen=True)
@@ -143,13 +150,9 @@ def acquire(
     testing, psi = draw_operator(samples, testing_rows, psi_seed)
     if noise_std > 0.0:
         rng = np.random.default_rng(noise_seed)
-        r, v = len(training), len(testing)
-        training = training + noise_std * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        testing = testing + noise_std * (rng.standard_normal(v) + 1j * rng.standard_normal(v))
+        training = training + _receiver_noise(rng, len(training), noise_std)
+        testing = testing + _receiver_noise(rng, len(testing), noise_std)
     else:
         training = training.astype(np.complex128)
         testing = testing.astype(np.complex128)
-    n = samples.size
-    return MeasurementSet(training=training, testing=testing,
-                          phi=FourierDictionary.from_spectra(phi, n),
-                          psi=FourierDictionary.from_spectra(psi, n))
+    return MeasurementSet(training=training, testing=testing, phi=phi, psi=psi)

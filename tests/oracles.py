@@ -3,7 +3,9 @@
 They are exact but slow (dense dictionaries, support enumeration, a fresh
 inverse DFT per call), so the package itself never calls them.
 :class:`DenseDictionary` lets the package's pursuit run over a dense
-dictionary, for comparison with these solvers.
+dictionary, for comparison with these solvers, and
+:func:`fourier_dictionary` builds the package's own dictionary from a whole
+matrix, which the package never holds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from widesense.errors import DimensionError, ParameterError
+from widesense.recovery import FourierDictionary
 from widesense.signals import Spectrum
 
 
@@ -42,6 +45,11 @@ def sensing_dictionary(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2:
         raise DimensionError("measurement matrix must be two-dimensional")
     return np.fft.ifft(matrix, axis=1)
+
+
+def fourier_dictionary(matrix) -> FourierDictionary:
+    """The dictionary of a real (rows, n) matrix, or of a (B, rows, n) stack."""
+    return FourierDictionary(np.fft.rfft(matrix, axis=-1), np.shape(matrix)[-1])
 
 
 class DenseDictionary:

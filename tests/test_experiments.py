@@ -27,7 +27,9 @@ from widesense.experiments import (
     significant_relative_mse,
 )
 from widesense.rng import stream_seed, substreams
-from widesense.validation import confidence_floor_noisy
+from widesense.sensing import acquire
+from widesense.signals import TimeSeries
+from widesense.validation import HaltingConfig, confidence_floor_noisy, halting_rule
 
 DESK_FRAME = {
     "frame_length": 0.8e-6,
@@ -369,6 +371,31 @@ class TestRunners:
         row = table.rows[0]
         assert row["bound_value"] == pytest.approx(confidence_floor_noisy(10, 0.6, 1.0))
         assert 0.0 <= row["halt_probability"] <= 1.0
+
+    def test_halting_trials_draw_the_noise_acquire_adds(self, monkeypatch):
+        # With an exact estimate a trial's testing residual is the receiver
+        # noise that acquire adds to a silent window's testing rows, drawn
+        # from the trial's noise stream after one training row.
+        v, delta, accuracy = 10, 0.5, 0.2
+        halts = halting_rule(HaltingConfig(mode="noisy", max_sparsity=1, noise_std=delta,
+                                           accuracy=accuracy * delta), 1, v)
+        seen = []
+
+        def recording(*args):
+            rule = halting_rule(*args)
+            return lambda rho: seen.append(rho) or rule(rho)
+
+        monkeypatch.setattr(experiments, "halting_rule", recording)
+        streams = substreams(3, "trial", np.arange(8))
+        silent = TimeSeries(samples=np.zeros(16), rate=16.0)
+        rhos = [float(np.abs(acquire(silent, 1, v, 1, 2, noise_std=delta,
+                                     noise_seed=stream_seed(seed, "noise")).testing).sum() / v)
+                for seed in streams.seeds.tolist()]
+        cell = {"testing_size": v, "accuracy_factor": accuracy}
+        outcomes = experiments._halting_trials(cell, {"noise_std": delta}, streams)
+        assert seen == rhos
+        assert outcomes == [halts(rho) for rho in rhos]
+        assert set(outcomes) == {True, False}
 
     def test_sasr_vs_omp_mini(self):
         cfg = ExperimentConfig(

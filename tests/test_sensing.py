@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import sensing_dictionary
+from oracles import fourier_dictionary, sensing_dictionary
 from widesense.errors import DimensionError, ParameterError
 from widesense.rng import pin_blas_threads
-from widesense.recovery import FourierDictionary
 from widesense.sensing import _BLOCK_ROWS, MeasurementSet, acquire, draw_matrix, draw_operator
 from widesense.signals import TimeSeries
 
@@ -99,23 +98,24 @@ class TestDrawOperator:
         phi = draw_matrix(rows, n, 3)
         samples = np.random.default_rng(4).standard_normal(n)
         with pin_blas_threads():
-            measurements, spectra = draw_operator(samples, rows, seed)
+            measurements, dictionary = draw_operator(samples, rows, seed)
             expected = phi @ samples
         assert np.array_equal(measurements, expected)
-        assert np.array_equal(spectra, np.fft.rfft(phi))
+        assert (dictionary.shape, dictionary.trials) == ((rows, n), 1)
+        assert np.array_equal(dictionary.spectra, np.fft.rfft(phi))
 
     def test_fills_preallocated_outputs(self):
         samples = np.random.default_rng(4).standard_normal((30, 2))
         measurements, spectra = np.empty((70, 2)), np.empty((70, 16), dtype=complex)
-        out = draw_operator(samples, 70, 8, measurements, spectra)
-        assert out[0] is measurements and out[1] is spectra
+        out, dictionary = draw_operator(samples, 70, 8, measurements, spectra)
+        assert out is measurements and np.shares_memory(dictionary.spectra, spectra)
         phi = draw_matrix(70, 30, 8)
         np.testing.assert_allclose(measurements, phi @ samples, rtol=1e-12, atol=1e-12)
         assert np.array_equal(spectra, np.fft.rfft(phi))
 
 
 def _dictionary(rows, n):
-    return FourierDictionary(np.zeros((rows, n)))
+    return fourier_dictionary(np.zeros((rows, n)))
 
 
 def test_measurement_set_validates_shapes():
@@ -127,7 +127,7 @@ def test_measurement_set_validates_shapes():
             psi=_dictionary(1, 8),
         )
     # the dictionaries are one-trial operators, not matrices or stacks
-    for phi in (np.zeros((2, 8)), FourierDictionary(np.zeros((3, 2, 8)))):
+    for phi in (np.zeros((2, 8)), fourier_dictionary(np.zeros((3, 2, 8)))):
         with pytest.raises(DimensionError):
             MeasurementSet(np.zeros(2, dtype=complex), np.zeros(1, dtype=complex),
                            phi, _dictionary(1, 8))
@@ -176,7 +176,7 @@ class TestSensingDictionary:
         for phi in (wide[:, :12], wide[:, ::2]):
             a = sensing_dictionary(phi)
             for order in ((0, 3, 11), (3, 9), (9, 3), (0, 6, 6, 0)):
-                ops = FourierDictionary(phi)
+                ops = fourier_dictionary(phi)
                 for j in order:
                     np.testing.assert_allclose(ops.column(j), a[:, j], rtol=0, atol=1e-12)
 
