@@ -26,9 +26,12 @@ correlations of a pick are one real matrix product with no FFT and the
 picked column is a read of ``rows`` entries.  The least-squares refit is
 maintained incrementally through a thin QR factorization of the selected
 columns, so one iteration costs one pass over the dictionary for the
-correlations plus O(rows * support) for the update.  The factors live in
-arrays allocated once for the largest support a run can reach, so a pick
-copies nothing that earlier picks built.
+correlations plus O(rows * support) for the update.  SASR's testing
+estimate needs no solve either: with the fit's R, a pick extends
+W = Psi_S R^-1 by one row and the estimate W^T Q^H y by one term, so a SASR
+pick costs one dictionary pass plus O((rows + v) * support) for v testing
+rows.  The factors live in arrays allocated once for the largest support a
+run can reach, so a pick copies nothing that earlier picks built.
 
 The loop runs a stack of independent trials that share their dimensions:
 every array has a leading trial axis, and a trial retires from the stack
@@ -93,26 +96,38 @@ class FourierDictionary:
         self.spectra = _frozen(spectra)
         self.shape = (spectra.shape[-2], n)
         self.trials = 1 if spectra.ndim == 2 else len(spectra)
+        # Views and an index that every call would otherwise rebuild.
+        self._real = self.spectra.view(np.float64)
+        self._stack = self.spectra.reshape((self.trials, *spectra.shape[-2:]))
+        self._index = np.arange(self.trials)
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
         n, h = self.shape[1], self.spectra.shape[-1]
         operand = np.empty((*residual.shape[:-1], 2, residual.shape[-1]))
         operand[..., 0, :], operand[..., 1, :] = residual.real, residual.imag
-        parts = (operand @ self.spectra.view(np.float64)).view(np.complex128)
+        parts = (operand @ self._real).view(np.complex128)
         c0, c1 = parts[..., 0, :], parts[..., 1, :]
+        ic1 = 1j * c1
         out = np.empty((*residual.shape[:-1], n), dtype=np.complex128)
-        out[..., :h] = c0 + 1j * c1
-        out[..., h:] = (c0 - 1j * c1)[..., n - h:0:-1].conj()
+        np.add(c0, ic1, out=out[..., :h])
+        # Only the n - h bins above the kept half, mirrored from 1 .. n - h.
+        mirror = out[..., h:]
+        np.subtract(c0[..., n - h:0:-1], ic1[..., n - h:0:-1], out=mirror)
+        np.conjugate(mirror, out=mirror)
         out /= n
         return out
 
     def column(self, j) -> np.ndarray:
         n = self.shape[1]
-        picks = np.reshape(j, -1)
-        stack = self.spectra.reshape((-1, *self.spectra.shape[-2:]))
-        cols = stack[np.arange(len(picks)), :, np.minimum(picks, n - picks)] / n
+        if np.ndim(j) == 0:
+            # The first trial's column: a strided read, conjugated for j <= n / 2.
+            col = self._stack[0, :, min(j, n - j)] / n
+            return np.conjugate(col, out=col) if j <= n // 2 else col
+        picks = np.asarray(j)
+        cols = self._stack[self._index, :, np.minimum(picks, n - picks)]
+        cols /= n
         np.conjugate(cols, out=cols, where=(picks <= n // 2)[:, None])
-        return cols if np.ndim(j) else cols[0]
+        return cols
 
 
 @dataclass(frozen=True)
@@ -208,14 +223,16 @@ class _IncrementalFit:
         h += h2
         nrm = _norms(q)
         dependent = self.active & (nrm <= 1e-10 * _norms(a))
-        self.rank_deficient |= dependent
-        self.active &= ~dependent
+        if dependent.any():
+            self.rank_deficient |= dependent
+            self.active &= ~dependent
         live = np.count_nonzero(self.active)
         if not live:
             return False
         # Write only the active trials; a full slice when all are.
         act = slice(None) if live == len(self.active) else self.active
-        q = q[act] / nrm[act, None]
+        q = q[act]
+        q /= nrm[act, None]
         self.Q[act, t] = q
         self.R[act, :t, t] = h[act]
         self.R[act, t, t] = nrm[act]
@@ -361,12 +378,19 @@ def _sasr_then_omp(measurements: MeasurementSet, halting: HaltingConfig):
     if halts(rho_trace[0]):
         halted_by = "criterion"
     elif fit.residual_norm[0] > 0.0:
-        # The testing dictionary's column of each pick, preallocated like the fit.
-        columns = np.zeros((v_p, capacity), dtype=np.complex128)
+        # The testing estimate Psi_S R^-1 Q^H y, kept without a solve: row i
+        # of W is column i of Psi_S R^-1, which later picks never change, so
+        # pick t adds one row (the bordered inverse of R) and one term.
+        W = np.empty((capacity, v_p), dtype=np.complex128)
+        estimate = np.zeros(v_p, dtype=np.complex128)
+        R, qty = fit.R[0], fit.qty[0]
         for _ in picks:
             t = fit.size
-            columns[:, t - 1] = B.column(int(fit.support[0, t - 1]))
-            estimate = columns[:, :t] @ fit.coefficients(0)
+            r, w = R[:t, t - 1], W[t - 1]
+            w[:] = B.column(int(fit.support[0, t - 1]))
+            w -= r[:t - 1] @ W[:t - 1]
+            w /= r[t - 1]
+            estimate += qty[t - 1] * w
             rho_trace.append(float(np.abs(testing - estimate).sum() / v_p))
             if halts(rho_trace[-1]):
                 halted_by = "criterion"

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (DenseDictionary, brute_force_l0, fourier_dictionary,
                      least_squares_on_support, sensing_dictionary, validation_parameter)
@@ -93,6 +95,20 @@ class TestFourierDictionary:
             picks = (j + np.arange(3) * (n // 2)) % n
             np.testing.assert_allclose(stacked.column(picks), dense[np.arange(3), :, picks],
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_scalar_and_array_columns_agree(self, n):
+        # A scalar index reads one column by a slice, an index array by a
+        # gather; both give the same bits for every bin, 0, n / 2 and the
+        # mirrors included, and a stack's column b is its slice b's.
+        stacked = fourier_dictionary(np.random.default_rng(n + 1).standard_normal((3, 5, n)))
+        slices = [FourierDictionary(spectra, n) for spectra in stacked.spectra]
+        single = fourier_dictionary(np.random.default_rng(n + 2).standard_normal((5, n)))
+        for j in range(n):
+            for ops in (single, *slices):
+                assert np.array_equal(ops.column(j), ops.column(np.array([j]))[0]), j
+            assert np.array_equal(stacked.column(np.full(3, j)),
+                                  [ops.column(j) for ops in slices]), j
 
     def test_holds_the_spectra_it_is_given(self):
         spectra = np.fft.rfft(np.random.default_rng(6).standard_normal((4, 25)))
@@ -317,23 +333,80 @@ class TestSasr:
         assert result.halted_by == "k_max_exhausted"
         assert result.iterations > 1
 
-    @pytest.mark.parametrize("noise_std, halting", [
+    @pytest.mark.parametrize("noise_std, halting, stop", [
         # capped below the 8 occupied bins, so rho stays far above round-off
-        (0.0, _noiseless_halting(max_sparsity=4)),
-        (1.0, HaltingConfig(mode="noisy", max_sparsity=20, noise_std=1.0, accuracy=0.6)),
-    ], ids=["noiseless", "noisy"])
-    def test_last_rho_matches_the_oracle(self, noise_std, halting):
-        _, _, psi = _sparse_problem()
+        (0.0, _noiseless_halting(max_sparsity=4), "k_max_exhausted"),
+        (1.0, HaltingConfig(mode="noisy", max_sparsity=20, noise_std=1.0, accuracy=0.6),
+         "criterion"),
+        # gated, so the pursuit runs on to the training residual's floor
+        (0.0, _noiseless_halting(min_testing=111), "floor"),
+    ], ids=["noiseless", "noisy", "residual-floor"])
+    def test_every_rho_matches_the_oracle(self, noise_std, halting, stop):
+        _, phi, psi = _sparse_problem()
         _, ms = _sparse_measurements(noise_std=noise_std, noise_seed=11)
         result = sasr(ms, halting)
         assert result.iterations > 0
+        if stop == "floor":
+            assert result.halted_by == "k_max_exhausted"
+            assert result.residual_trace[-1] <= 1e-12 * np.linalg.norm(ms.training)
+        else:
+            assert result.halted_by == stop
+        _assert_every_rho_matches_the_oracle(ms, phi, psi, result)
         rho = validation_parameter(ms.testing, psi, result.estimate)
-        np.testing.assert_allclose(result.rho_trace[-1], rho, rtol=1e-12, atol=0)
+        # the returned estimate's own rho, with round-off room at a floor fit
+        np.testing.assert_allclose(result.rho_trace[-1], rho, rtol=1e-12,
+                                   atol=1e-12 * result.rho_trace[0])
+
+    def test_every_rho_matches_the_oracle_up_to_a_repeated_pick(self):
+        # Phi repeats its 6 rows, so its columns span 6 dimensions; noise
+        # outside them leaves a residual above the floor that no further
+        # column can reduce, and the 7th pick repeats or is dependent.
+        rng = np.random.default_rng(1)
+        half = rng.standard_normal((6, 40))
+        phi, psi = np.vstack([half, half]), rng.standard_normal((30, 40))
+        ms = _direct_measurements(phi, psi, _sparse_spectrum(40, (3, 11, 25, 30, 33, 5), 2),
+                                  0.1, rng)
+        result = sasr(ms, _noiseless_halting(max_sparsity=10, min_testing=31))
+        assert (result.halted_by, result.iterations) == ("k_max_exhausted", 6)
+        assert result.residual_trace[-1] > 0.1 * np.linalg.norm(ms.training)
+        _assert_every_rho_matches_the_oracle(ms, phi, psi, result)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5]), st.integers(1, 8),
+           st.booleans())
+    def test_every_rho_matches_the_oracle_over_seeds(self, seed, noise_std, sparsity, gated):
+        rng = np.random.default_rng(seed)
+        phi, psi = rng.standard_normal((20, 64)), rng.standard_normal((15, 64))
+        bins = rng.choice(64, sparsity, replace=False)
+        ms = _direct_measurements(phi, psi, _sparse_spectrum(64, bins, seed), noise_std, rng)
+        halting = _noiseless_halting(max_sparsity=12, min_testing=16 if gated else 1)
+        _assert_every_rho_matches_the_oracle(ms, phi, psi, sasr(ms, halting))
 
     def test_needs_testing_rows(self):
         _, ms = _sparse_measurements(testing=0)
         with pytest.raises(ParameterError):
             sasr(ms, _noiseless_halting())
+
+
+def _direct_measurements(phi, psi, spectrum, noise_std, rng):
+    """Training and testing rows of ``spectrum`` through real ``phi`` and
+    ``psi``, plus complex noise of standard deviation ``noise_std``."""
+    x = np.fft.ifft(spectrum)
+    rows = [m @ x + noise_std * (rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m)))
+            for m in (phi, psi)]
+    return MeasurementSet(*rows, fourier_dictionary(phi), fourier_dictionary(psi))
+
+
+def _assert_every_rho_matches_the_oracle(ms, phi, psi, result):
+    """Each ``rho_trace[t]`` is the validation parameter of the least-squares
+    fit on the first t picks, to within 1e-9 of ``rho_trace[0]``: an
+    absolute bound, since rho at an exact fit is itself round-off."""
+    assert len(result.rho_trace) == result.iterations + 1
+    dictionary = sensing_dictionary(phi)
+    for t, rho in enumerate(result.rho_trace):
+        fit = least_squares_on_support(ms.training, dictionary, result.support[:t])
+        assert abs(rho - validation_parameter(ms.testing, psi, fit)) <= (
+            1e-9 * result.rho_trace[0]), t
 
 
 def _noisy_problem(amplitude, seed, noise_seed, max_sparsity=20, **kw):

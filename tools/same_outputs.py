@@ -15,11 +15,17 @@ import path:
 * one ``widesense calibrate-lambda`` config.
 
 Prints "same" or "differs" for each output, and "failed" for a command that
-exits non-zero in either tree.  Exits 1 unless every output is the same.
+exits non-zero in either tree.  Under a table that differs it prints each
+differing column, with its largest relative difference where both sides
+hold floats, and whether every non-float column is equal.  Exits 1 unless
+every output is the same.
 """
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +86,65 @@ def commands(names: list, configs: Path) -> dict:
     return out
 
 
+def table(fmt: str, out: bytes) -> list:
+    """A ``widesense run`` table as rows of values, its column names first."""
+    if fmt == "csv":
+        return list(csv.reader(io.StringIO(out.decode())))
+    payload = json.loads(out)
+    return [payload["schema"], *([row[key] for key in payload["schema"]]
+                                 for row in payload["rows"])]
+
+
+def as_float(value):
+    """``value`` as a float when it is one, None for an integer or a label
+    (CSV gives every value as text; floats are written through ``repr``)."""
+    if isinstance(value, float):
+        return value
+    if not isinstance(value, str):
+        return None
+    try:
+        int(value)
+        return None
+    except ValueError:
+        pass
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def column_report(fmt: str, parent_out: bytes, change_out: bytes) -> list:
+    """How a differing table differs: one line per differing column, then
+    whether every non-float column is equal."""
+    parent, change = table(fmt, parent_out), table(fmt, change_out)
+    if parent[0] != change[0] or len(parent) != len(change):
+        return ["the tables differ in their columns or their row count"]
+    lines, labels_equal = [], True
+    for i, name in enumerate(parent[0]):
+        pairs = [(as_float(p[i]), as_float(c[i]))
+                 for p, c in zip(parent[1:], change[1:]) if p[i] != c[i]]
+        if not pairs:
+            continue
+        if any(p is None or c is None for p, c in pairs):
+            labels_equal = False
+            lines.append(f"{name}: differs in {len(pairs)} rows, not as floats")
+        else:
+            worst = max(relative(p, c) for p, c in pairs)
+            lines.append(f"{name}: differs in {len(pairs)} rows, largest relative "
+                         f"difference {worst:.3g}")
+    if not lines:
+        return ["every column is equal; the bytes around the rows differ"]
+    lines.append("every non-float column is equal" if labels_equal
+                 else "a non-float column differs")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -103,6 +168,9 @@ def main(argv=None) -> int:
                 verdict = "same" if p_out == c_out else "differs"
             differ += verdict != "same"
             print(f"{name}: {verdict}", flush=True)
+            if verdict == "differs" and name.startswith("run "):
+                for line in column_report(argv_[3], p_out, c_out):
+                    print(f"    {line}", flush=True)
     print(f"{differ} of the outputs differ or failed" if differ else "every output is the same")
     return 1 if differ else 0
 
