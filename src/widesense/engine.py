@@ -220,13 +220,11 @@ def _frame_steps(spec, frame: FrameConfig, halting: HaltingConfig,
     for p in range(1, p_max + 1):
         if skip_closed and p < p_max and not can_halt(halting, v * p):
             continue
-        # acquire reads its noise seed only when there is noise.
-        noise_seed = stream_seed(master_seed, "noise", p) if delta else 0
         with pin_blas_threads():
             window = signal_time_series(spec, p * frame.time_step)
             ms = acquire(window, (frame.measurements_per_step - v) * p, v * p,
                          stream_seed(master_seed, "phi", p), stream_seed(master_seed, "psi", p),
-                         noise_std=delta, noise_seed=noise_seed)
+                         noise_std=delta, noise_seed=stream_seed(master_seed, "noise", p))
             recovery = sasr(ms, halting)
         yield p, window, ms, recovery
         if recovery.halted_by == "criterion":

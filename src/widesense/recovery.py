@@ -96,10 +96,9 @@ class FourierDictionary:
         self.spectra = _frozen(spectra)
         self.shape = (spectra.shape[-2], n)
         self.trials = 1 if spectra.ndim == 2 else len(spectra)
-        # Views and an index that every call would otherwise rebuild.
+        # Views that every call would otherwise rebuild.
         self._real = self.spectra.view(np.float64)
         self._stack = self.spectra.reshape((self.trials, *spectra.shape[-2:]))
-        self._index = np.arange(self.trials)
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
         n, h = self.shape[1], self.spectra.shape[-1]
@@ -124,7 +123,7 @@ class FourierDictionary:
             col = self._stack[0, :, min(j, n - j)] / n
             return np.conjugate(col, out=col) if j <= n // 2 else col
         picks = np.asarray(j)
-        cols = self._stack[self._index, :, np.minimum(picks, n - picks)]
+        cols = self._stack[np.arange(len(picks)), :, np.minimum(picks, n - picks)]
         cols /= n
         np.conjugate(cols, out=cols, where=(picks <= n // 2)[:, None])
         return cols

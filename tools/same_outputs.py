@@ -114,8 +114,12 @@ def as_float(value):
 
 
 def relative(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; inf when the two differ and
+    either is NaN or infinite, so such a change is never reported as small."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     return abs(a - b) / max(abs(a), abs(b))
 
 
