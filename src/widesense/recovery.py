@@ -118,15 +118,11 @@ class FourierDictionary:
 
     def column(self, j) -> np.ndarray:
         n = self.shape[1]
-        if np.ndim(j) == 0:
-            # The first trial's column: a strided read, conjugated for j <= n / 2.
-            col = self._stack[0, :, min(j, n - j)] / n
-            return np.conjugate(col, out=col) if j <= n // 2 else col
-        picks = np.asarray(j)
+        picks = np.reshape(j, -1)
         cols = self._stack[np.arange(len(picks)), :, np.minimum(picks, n - picks)]
         cols /= n
         np.conjugate(cols, out=cols, where=(picks <= n // 2)[:, None])
-        return cols
+        return cols if np.ndim(j) else cols[0]
 
 
 @dataclass(frozen=True)

@@ -98,9 +98,9 @@ class TestFourierDictionary:
 
     @pytest.mark.parametrize("n", [24, 25])
     def test_scalar_and_array_columns_agree(self, n):
-        # A scalar index reads one column by a slice, an index array by a
-        # gather; both give the same bits for every bin, 0, n / 2 and the
-        # mirrors included, and a stack's column b is its slice b's.
+        # A scalar index and a one-element index array give the same bits
+        # for every bin, 0, n / 2 and the mirrors included, and a stack's
+        # column b is its slice b's.
         stacked = fourier_dictionary(np.random.default_rng(n + 1).standard_normal((3, 5, n)))
         slices = [FourierDictionary(spectra, n) for spectra in stacked.spectra]
         single = fourier_dictionary(np.random.default_rng(n + 2).standard_normal((5, n)))
