@@ -15,17 +15,16 @@ import path:
 * one ``widesense calibrate-lambda`` config.
 
 Prints "same" or "differs" for each output, and "failed" for a command that
-exits non-zero in either tree.  Under a table that differs it prints each
-differing column, with its largest relative difference where both sides
-hold floats, and whether every non-float column is equal.  Exits 1 unless
+exits non-zero in either tree.  Under a table or a frame outcome that
+differs it prints each differing column (for a frame, each differing field,
+named by its path), with its largest relative difference where both sides
+hold floats, and whether every non-float column is equal; the comparison is
+``outputs.column_differences``, which ``tests/test_golden.py`` uses too.  Exits 1 unless
 every output is the same.
 """
 
 import argparse
-import csv
-import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -34,12 +33,10 @@ from pathlib import Path
 
 from bench_pairs import export
 from bench_record import ROOT
+from outputs import column_report, reduced_config
 
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/, which imports neither NumPy nor widesense)
-
-MASTER_SEED = 20240001  # the seed of experiments.default_config
-REDUCED_TRIALS = {"phase_transition": 3}  # every other experiment runs 2 trials
 
 # A desk-scale calibration whose quantile lands on a positive band energy.
 CALIBRATION = {
@@ -73,8 +70,7 @@ def commands(names: list, configs: Path) -> dict:
 
     out = {"list": ["list"]}
     for name in names:
-        path = config(name, {"name": name, "trials": REDUCED_TRIALS.get(name, 2),
-                             "master_seed": MASTER_SEED})
+        path = config(name, reduced_config(name))
         for workers in (1, 2):
             for fmt in ("csv", "json"):
                 out[f"run {name} {fmt} workers={workers}"] = [
@@ -84,69 +80,6 @@ def commands(names: list, configs: Path) -> dict:
             out[f"frame round {r} op {i}"] = ["frame", config(f"frame-{r}-{i}", op.config)]
     out["calibrate-lambda"] = ["calibrate-lambda", config("calibrate", CALIBRATION)]
     return out
-
-
-def table(fmt: str, out: bytes) -> list:
-    """A ``widesense run`` table as rows of values, its column names first."""
-    if fmt == "csv":
-        return list(csv.reader(io.StringIO(out.decode())))
-    payload = json.loads(out)
-    return [payload["schema"], *([row[key] for key in payload["schema"]]
-                                 for row in payload["rows"])]
-
-
-def as_float(value):
-    """``value`` as a float when it is one, None for an integer or a label
-    (CSV gives every value as text; floats are written through ``repr``)."""
-    if isinstance(value, float):
-        return value
-    if not isinstance(value, str):
-        return None
-    try:
-        int(value)
-        return None
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return None
-
-
-def relative(a: float, b: float) -> float:
-    """|a - b| relative to the larger magnitude; inf when the two differ and
-    either is NaN or infinite, so such a change is never reported as small."""
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
-
-
-def column_report(fmt: str, parent_out: bytes, change_out: bytes) -> list:
-    """How a differing table differs: one line per differing column, then
-    whether every non-float column is equal."""
-    parent, change = table(fmt, parent_out), table(fmt, change_out)
-    if parent[0] != change[0] or len(parent) != len(change):
-        return ["the tables differ in their columns or their row count"]
-    lines, labels_equal = [], True
-    for i, name in enumerate(parent[0]):
-        pairs = [(as_float(p[i]), as_float(c[i]))
-                 for p, c in zip(parent[1:], change[1:]) if p[i] != c[i]]
-        if not pairs:
-            continue
-        if any(p is None or c is None for p, c in pairs):
-            labels_equal = False
-            lines.append(f"{name}: differs in {len(pairs)} rows, not as floats")
-        else:
-            worst = max(relative(p, c) for p, c in pairs)
-            lines.append(f"{name}: differs in {len(pairs)} rows, largest relative "
-                         f"difference {worst:.3g}")
-    if not lines:
-        return ["every column is equal; the bytes around the rows differ"]
-    lines.append("every non-float column is equal" if labels_equal
-                 else "a non-float column differs")
-    return lines
 
 
 def main(argv=None) -> int:
@@ -172,8 +105,9 @@ def main(argv=None) -> int:
                 verdict = "same" if p_out == c_out else "differs"
             differ += verdict != "same"
             print(f"{name}: {verdict}", flush=True)
-            if verdict == "differs" and name.startswith("run "):
-                for line in column_report(argv_[3], p_out, c_out):
+            fmt = argv_[3] if name.startswith("run ") else argv_[0]
+            if verdict == "differs" and fmt in ("csv", "json", "frame"):
+                for line in column_report(fmt, p_out, c_out):
                     print(f"    {line}", flush=True)
     print(f"{differ} of the outputs differ or failed" if differ else "every output is the same")
     return 1 if differ else 0
