@@ -22,8 +22,10 @@ baseline can continue a SASR fit instead of redoing it.
 
 The dictionary (:class:`FourierDictionary`) holds the measurement matrix
 in the spectral domain, as the real-input DFT of each row, so the
-correlations of a pick are one real matrix product with no FFT and the
-picked column is a read of ``rows`` entries.  The least-squares refit is
+correlations of a pick are a real matrix product with no FFT and the
+picked column is a read of ``rows`` entries.  The product is one BLAS call
+while one trial's spectra take at most 4 MB, and a sum of 32-row slab
+products above that (see :class:`FourierDictionary`).  The least-squares refit is
 maintained incrementally through a thin QR factorization of the selected
 columns, so one iteration costs one pass over the dictionary for the
 correlations plus O(rows * support) for the update.  SASR's testing
@@ -40,8 +42,8 @@ one-trial case of the same loop.  The ``phase_transition`` experiment runs
 its fixed-k trials through it in chunks of about 800 kB of stacked
 dictionaries, small enough for the pursuit arrays to stay in cache.
 Every stacked product and reduction computes a trial's slice exactly as a
-one-trial run does, so each result is bit for bit independent of the chunk
-it ran in.
+one-trial run does (the slab rule, too, is decided by one trial's size),
+so each result is bit for bit independent of the chunk it ran in.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ __all__ = [
 ]
 
 
+# One trial's spectra above this many bytes take the correlations in slabs
+# of this many rows.
+_SLAB_BOUND = 4_000_000
+_SLAB_ROWS = 32
+
+
 class FourierDictionary:
     """Sensing dictionary ``matrix @ inverse_dft``, held in the spectral domain.
 
@@ -81,13 +89,24 @@ class FourierDictionary:
 
     Column j of the dictionary is conj(spectra[:, j]) / n for j <= n / 2
     and spectra[:, n - j] / n above, so a column is a read, and column
-    n - j is the conjugate of column j exactly.  Correlations A^H r are one
+    n - j is the conjugate of column j exactly.  Correlations A^H r are a
     real product: the real and imaginary parts of the residual form a
     two-row operand against the spectra viewed as real pairs, giving
     c0 = spectra^T Re r and c1 = spectra^T Im r; bin j < n // 2 + 1 is
     (c0 + i c1)[j] / n and bin j above is conj(c0 - i c1)[n - j] / n.  No
-    FFT runs per call, and a stacked product computes each trial's slice
-    exactly as a one-trial product would.
+    FFT runs per call.
+
+    While one trial's spectra take at most 4 MB (rows * (n // 2 + 1) * 16
+    bytes), the product is one BLAS call.  Above that it is a sum of
+    (2, 32) by (32, 2 (n // 2 + 1)) row-slab products, accumulated in one
+    buffer: OpenBLAS leaves its small-matrix kernel for packed dgemm once
+    M N K exceeds 10^6, which is this bound, and packing a 2-row operand
+    only adds memory traffic.  Measured with one thread, slabs take 0.6 to
+    0.8 of the single call's time at 320 x 1600 to 1280 x 8000, but 1.2 to
+    1.4 times it at 160 x 1000, so dictionaries at or below the bound keep the
+    single call and its bits.  The rule reads the per-trial shape, never a
+    stack's total bytes, so a stacked product still computes each trial's
+    slice exactly as a one-trial product would.
     """
 
     def __init__(self, spectra: np.ndarray, n: int):
@@ -101,10 +120,20 @@ class FourierDictionary:
         self._stack = self.spectra.reshape((self.trials, *spectra.shape[-2:]))
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
-        n, h = self.shape[1], self.spectra.shape[-1]
-        operand = np.empty((*residual.shape[:-1], 2, residual.shape[-1]))
+        (rows, n), h = self.shape, self.spectra.shape[-1]
+        operand = np.empty((*residual.shape[:-1], 2, rows))
         operand[..., 0, :], operand[..., 1, :] = residual.real, residual.imag
-        parts = (operand @ self._real).view(np.complex128)
+        if rows * h * 16 <= _SLAB_BOUND:
+            parts = operand @ self._real
+        else:
+            # A sum of row-slab products, accumulated in place.
+            parts = np.matmul(operand[..., :_SLAB_ROWS], self._real[..., :_SLAB_ROWS, :])
+            slab = np.empty_like(parts)
+            for lo in range(_SLAB_ROWS, rows, _SLAB_ROWS):
+                hi = lo + _SLAB_ROWS
+                np.matmul(operand[..., lo:hi], self._real[..., lo:hi, :], out=slab)
+                parts += slab
+        parts = parts.view(np.complex128)
         c0, c1 = parts[..., 0, :], parts[..., 1, :]
         ic1 = 1j * c1
         out = np.empty((*residual.shape[:-1], n), dtype=np.complex128)

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (DenseDictionary, brute_force_l0, fourier_dictionary,
                      least_squares_on_support, sensing_dictionary, validation_parameter)
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
+from widesense import recovery
 from widesense.recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp, sasr
 from widesense.sensing import MeasurementSet, acquire
 from widesense.signals import GridSpectrumSpec, GridTone, synthesize_grid_signal
@@ -134,6 +135,58 @@ class TestFourierDictionary:
         assert peak < phi.nbytes / 4
 
 
+    # 330 rows in 32-row slabs end in a short slab of 10; at n = 1601 one
+    # trial's spectra take 330 * 801 * 16 bytes, above the slab bound.
+    SLAB_ROWS, SLAB_N = 330, 1601
+
+    def _above_the_bound(self, trials=None):
+        rng = np.random.default_rng(12)
+        shape = (self.SLAB_ROWS, self.SLAB_N) if trials is None else (
+            trials, self.SLAB_ROWS, self.SLAB_N)
+        phi = rng.standard_normal(shape)
+        ops = fourier_dictionary(phi)
+        assert self.SLAB_ROWS * (self.SLAB_N // 2 + 1) * 16 > recovery._SLAB_BOUND
+        assert self.SLAB_ROWS % recovery._SLAB_ROWS
+        return rng, phi, ops
+
+    def test_slab_correlations_match_dense(self):
+        rng, phi, ops = self._above_the_bound()
+        dense = sensing_dictionary(phi).conj().T
+        for residual in (rng.standard_normal(self.SLAB_ROWS)
+                         + 1j * rng.standard_normal(self.SLAB_ROWS),
+                         rng.standard_normal(self.SLAB_ROWS)):
+            expected = dense @ residual
+            np.testing.assert_allclose(ops.correlations(residual), expected, rtol=0,
+                                       atol=1e-12 * np.abs(expected).max())
+
+    def test_slab_correlations_of_a_real_residual_mirror_exactly(self):
+        rng, _, ops = self._above_the_bound()
+        c = ops.correlations(rng.standard_normal(self.SLAB_ROWS))
+        n, h = self.SLAB_N, self.SLAB_N // 2 + 1
+        assert np.array_equal(c[h:], np.conj(c[n - h:0:-1]))
+
+    def test_slab_stack_equals_its_slices(self):
+        rng, phi, stacked = self._above_the_bound(trials=2)
+        residuals = (rng.standard_normal((2, self.SLAB_ROWS))
+                     + 1j * rng.standard_normal((2, self.SLAB_ROWS)))
+        slices = [fourier_dictionary(matrix).correlations(r) for matrix, r in zip(phi, residuals)]
+        assert np.array_equal(stacked.correlations(residuals), slices)
+
+    def test_a_stack_of_small_trials_keeps_the_whole_product(self, monkeypatch):
+        # Four 160 x 1000 trials hold 5.1 MB together but 1.3 MB each, so the
+        # per-trial bound keeps them on the whole product.
+        rng = np.random.default_rng(13)
+        stacked = fourier_dictionary(rng.standard_normal((4, 160, 1000)))
+        assert stacked.spectra.nbytes > recovery._SLAB_BOUND
+        residuals = rng.standard_normal((4, 160)) + 1j * rng.standard_normal((4, 160))
+        got = stacked.correlations(residuals)
+        monkeypatch.setattr(recovery, "_SLAB_BOUND", np.inf)
+        assert np.array_equal(got, stacked.correlations(residuals))
+        # Slabs would have moved some bits, so the check above has teeth.
+        monkeypatch.setattr(recovery, "_SLAB_BOUND", 0)
+        assert not np.array_equal(got, stacked.correlations(residuals))
+
+
 class TestOmp:
     def test_recovers_exact_sparse_spectrum(self):
         x, phi, _ = _sparse_problem()
@@ -173,6 +226,11 @@ class TestOmp:
         assert result.support == ()
         assert result.halted_by == "fixed_k"
         assert np.all(result.estimate.bins == 0)
+
+    def test_training_size_must_match_rows(self):
+        ops = fourier_dictionary(np.random.default_rng(14).standard_normal((6, 16)))
+        with pytest.raises(DimensionError, match="dictionary rows must match training size"):
+            omp(np.ones(5, dtype=complex), ops, 2)
 
     def test_k_bounds(self):
         with pytest.raises(ParameterError):
@@ -550,6 +608,44 @@ class TestBatchInvariance:
             ("fixed_k", 2, False),
             ("k_max_exhausted", 1, False),   # zero training vector
         ]
+
+    @pytest.mark.parametrize("slabs", [False, True], ids=["whole", "slabs"])
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_every_chunk_over_seeds(self, slabs, data):
+        # Each trial is random training rows, an exactly sparse spectrum
+        # (which stops at the residual floor once fitted), a zero vector, or
+        # random rows through a matrix that repeats its first third of rows,
+        # whose columns span no more dimensions than that, so the pursuit
+        # stops at a dependent or repeated pick.  The stack is cut into
+        # chunks at random points.
+        rows, n = data.draw(st.integers(2, 24)), data.draw(st.integers(4, 64))
+        kinds = data.draw(st.lists(st.sampled_from(["random", "sparse", "zero", "repeat"]),
+                                   min_size=1, max_size=6))
+        k = data.draw(st.integers(0, rows))
+        cuts = data.draw(st.sets(st.integers(1, len(kinds) - 1), max_size=len(kinds) - 1)
+                         if len(kinds) > 1 else st.just(set()))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        phi = rng.standard_normal((len(kinds), rows, n))
+        training = np.zeros((len(kinds), rows), dtype=complex)
+        for b, kind in enumerate(kinds):
+            if kind == "repeat":
+                phi[b] = phi[b, np.arange(rows) % max(1, rows // 3)]
+            if kind == "sparse":
+                bins = rng.choice(n, rng.integers(1, min(rows // 2, n) + 1), replace=False)
+                training[b] = phi[b] @ np.fft.ifft(_sparse_spectrum(n, bins, b))
+            elif kind != "zero":
+                training[b] = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        with pytest.MonkeyPatch.context() as patch:
+            if slabs:
+                # Every product in slabs of 3 rows, short last slabs included.
+                patch.setattr(recovery, "_SLAB_BOUND", 0)
+                patch.setattr(recovery, "_SLAB_ROWS", 3)
+            for chunk in np.split(np.arange(len(kinds)), sorted(cuts)):
+                batch = _omp_batch(fourier_dictionary(phi[chunk]), training[chunk], k)
+                for b, result in zip(chunk, batch):
+                    _assert_same_result(result, omp(training[b], fourier_dictionary(phi[b]), k))
+                    event(f"{result.halted_by}, rank deficient: {result.rank_deficient}")
 
     def test_omp_rejects_a_stack(self):
         phi, training = _fourier_chunk(8, 32, [None, None], seed=9)
