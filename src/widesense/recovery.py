@@ -25,10 +25,10 @@ in the spectral domain, as the real-input DFT of each row, so the
 correlations of a pick are a real matrix product with no FFT and the
 picked column is a read of ``rows`` entries.  The product is one BLAS call
 while one trial's spectra take at most 4 MB, and a sum of 32-row slab
-products above that (see :class:`FourierDictionary`).  The least-squares refit is
-maintained incrementally through a thin QR factorization of the selected
-columns, so one iteration costs one pass over the dictionary for the
-correlations plus O(rows * support) for the update.  SASR's testing
+products above that (see :class:`FourierDictionary`).  The least-squares
+refit is maintained incrementally through a thin QR factorization of the
+selected columns, so one iteration costs one pass over the dictionary for
+the correlations plus O(rows * support) for the update.  SASR's testing
 estimate needs no solve either: with the fit's R, a pick extends
 W = Psi_S R^-1 by one row and the estimate W^T Q^H y by one term, so a SASR
 pick costs one dictionary pass plus O((rows + v) * support) for v testing
@@ -103,10 +103,10 @@ class FourierDictionary:
     M N K exceeds 10^6, which is this bound, and packing a 2-row operand
     only adds memory traffic.  Measured with one thread, slabs take 0.6 to
     0.8 of the single call's time at 320 x 1600 to 1280 x 8000, but 1.2 to
-    1.4 times it at 160 x 1000, so dictionaries at or below the bound keep the
-    single call and its bits.  The rule reads the per-trial shape, never a
-    stack's total bytes, so a stacked product still computes each trial's
-    slice exactly as a one-trial product would.
+    1.4 times it at 160 x 1000, so dictionaries at or below the bound keep
+    the single call and its bits.  The rule reads the per-trial shape,
+    never a stack's total bytes, so a stacked product still computes each
+    trial's slice exactly as a one-trial product would.
     """
 
     def __init__(self, spectra: np.ndarray, n: int):

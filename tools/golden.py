@@ -34,27 +34,27 @@ GOLDEN = ROOT / "tests" / "golden"
 FRAMES = GOLDEN / "frames.json"
 
 
-def widesense(argv: list, payload: dict, workdir: Path) -> str:
-    """The stdout of ``widesense ARGV CONFIG`` for the config ``payload``,
-    run in process; the config file is written into ``workdir``."""
+def widesense(command: str, payload: dict, workdir: Path, *options: str) -> str:
+    """The stdout of ``widesense COMMAND CONFIG OPTIONS`` for the config
+    ``payload``, run in process; the config file is written into ``workdir``."""
     path = workdir / "config.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([*argv[:1], str(path), *argv[1:]])
+        code = cli.main([command, str(path), *options])
     if code != 0:
-        raise RuntimeError(f"widesense {argv[0]} exited {code}")
+        raise RuntimeError(f"widesense {command} exited {code}")
     return out.getvalue()
 
 
 def table(name: str, workdir: Path) -> str:
     """The reduced default ``name`` table as CSV."""
-    return widesense(["run", "--format", "csv", "--workers", "1"], reduced_config(name), workdir)
+    return widesense("run", reduced_config(name), workdir, "--format", "csv", "--workers", "1")
 
 
 def frame(config: dict, workdir: Path) -> dict:
     """The parsed ``widesense frame`` outcome of ``config``."""
-    return json.loads(widesense(["frame"], config, workdir))
+    return json.loads(widesense("frame", config, workdir))
 
 
 def main() -> int:
