@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import (DenseDictionary, brute_force_l0, fourier_dictionary,
                      least_squares_on_support, sensing_dictionary, validation_parameter)
-from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
 from widesense import recovery
+from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
 from widesense.recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp, sasr
 from widesense.sensing import MeasurementSet, acquire
 from widesense.signals import GridSpectrumSpec, GridTone, synthesize_grid_signal
@@ -133,7 +133,6 @@ class TestFourierDictionary:
         finally:
             tracemalloc.stop()
         assert peak < phi.nbytes / 4
-
 
     # 330 rows in 32-row slabs end in a short slab of 10; at n = 1601 one
     # trial's spectra take 330 * 801 * 16 bytes, above the slab bound.

@@ -19,8 +19,8 @@ exits non-zero in either tree.  Under a table or a frame outcome that
 differs it prints each differing column (for a frame, each differing field,
 named by its path), with its largest relative difference where both sides
 hold floats, and whether every non-float column is equal; the comparison is
-``outputs.column_differences``, which ``tests/test_golden.py`` uses too.  Exits 1 unless
-every output is the same.
+``outputs.column_differences``, which ``tests/test_golden.py`` uses too.
+Exits 1 unless every output is the same.
 """
 
 import argparse
