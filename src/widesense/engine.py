@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,9 +99,6 @@ class FrameConfig:
     def measurements_per_step(self) -> int:
         return _integer_count(self.sub_nyquist_rate * self.time_step, "M_1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "FrameConfig":
         return from_fields(cls, "frame", raw)
@@ -132,9 +129,6 @@ class DetectorConfig:
                 raise ParameterError(f"invalid band ({low}, {high})")
             clean.append((low, high))
         object.__setattr__(self, "bands", tuple(clean))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DetectorConfig":

@@ -101,7 +101,8 @@ class ExperimentConfig:
 
     ``grid`` maps parameter names to value lists swept in the given order;
     ``base`` overrides scalar defaults of the named experiment.  ``workers``
-    sizes the trial pool and never affects results, only wall time.
+    sizes the trial pool, up to the CPU count, and never affects results,
+    only wall time.
     """
 
     name: str
@@ -780,8 +781,9 @@ def _experiment(name: str) -> _Experiment:
 
 def _sweep(cfg: ExperimentConfig) -> ResultTable:
     """Run every cell of ``cfg``'s grid, outermost key first, with BLAS on
-    one thread."""
+    one thread, on at most one worker per CPU."""
     spec = _EXPERIMENTS[cfg.name]
+    workers = min(cfg.workers, os.cpu_count() or 1)
     base = {key: _typed(cfg.name, f"base {key}", cfg.base.get(key, default), default)
             for key, default in spec.base.items()}
     axes = [[(key, _typed(cfg.name, f"grid {key}", value, defaults[0]))
@@ -798,7 +800,7 @@ def _sweep(cfg: ExperimentConfig) -> ResultTable:
             import concurrent.futures
 
             return stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.workers, initializer=_pin_worker))
+                max_workers=workers, initializer=_pin_worker))
 
         for cell in map(dict, itertools.product(*axes)):
             label = () if spec.label is None else (spec.label.format(**cell),)
@@ -807,7 +809,7 @@ def _sweep(cfg: ExperimentConfig) -> ResultTable:
             def run():
                 streams = substreams(seed_base, "trial", np.arange(cfg.trials))
                 return _map_trials(spec.trial, cell, base, streams, spec.chunk(cell, base),
-                                   cfg.workers, pool)
+                                   workers, pool)
 
             for row in spec.rows(cell, base, run):
                 rows.append({**cell, **row, "trials": cfg.trials, "seed_base": seed_base,

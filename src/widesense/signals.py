@@ -21,8 +21,9 @@ generator families are provided:
 Each spec's ``from_dict`` builds it from the ``signal`` object of a parsed
 JSON config, rejecting unknown and missing keys by name.
 
-The DFT convention matches numpy: the forward transform is unnormalized and
-the inverse carries the 1/n factor, hence ``norm(dft(x)) == sqrt(n) * norm(x)``.
+Spectra follow NumPy's DFT convention: the forward transform is
+unnormalized and the inverse carries the 1/n factor, so the spectrum of n
+samples has sqrt(n) times their norm.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, InvalidSpecError, ParameterError, check_fields,
-                     check_keys, check_value)
+from .errors import InvalidSpecError, ParameterError, check_fields, check_keys, check_value
 
 __all__ = [
     "SubbandSpec",
@@ -45,8 +45,6 @@ __all__ = [
     "synthesize_signal",
     "synthesize_grid_signal",
     "signal_time_series",
-    "dft",
-    "idft",
     "random_grid_spectrum",
 ]
 
@@ -228,9 +226,6 @@ class TimeSeries:
             raise ParameterError("sample rate must be positive")
         object.__setattr__(self, "samples", _frozen(np.asarray(self.samples)))
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -241,9 +236,6 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bins", _frozen(np.asarray(self.bins)))
-
-    def __len__(self) -> int:
-        return len(self.bins)
 
 
 def _integer_count(value: float, name: str) -> int:
@@ -296,27 +288,6 @@ def signal_time_series(spec, duration: float) -> TimeSeries:
     if isinstance(spec, GridSpectrumSpec):
         return synthesize_grid_signal(spec, duration)
     raise InvalidSpecError(f"unsupported signal spec type {type(spec).__name__}")
-
-
-def dft(ts: TimeSeries) -> Spectrum:
-    """Unnormalized forward DFT of the samples."""
-    return Spectrum(bins=np.fft.fft(ts.samples), bin_resolution=ts.rate / len(ts))
-
-
-def idft(spectrum: Spectrum, rate: float | None = None) -> TimeSeries:
-    """Inverse DFT (1/n convention); real output is returned as float."""
-    if len(spectrum) == 0:
-        raise DimensionError("cannot invert an empty spectrum")
-    x = np.fft.ifft(spectrum.bins)
-    scale = np.max(np.abs(x)) if len(x) else 0.0
-    if scale == 0.0 or np.max(np.abs(x.imag)) <= 1e-12 * scale:
-        x = x.real
-    if rate is None:
-        if spectrum.bin_resolution is not None:
-            rate = spectrum.bin_resolution * len(spectrum)
-        else:
-            rate = float(len(spectrum))
-    return TimeSeries(samples=x, rate=rate)
 
 
 # ---------------------------------------------------------------------------

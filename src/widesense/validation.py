@@ -24,21 +24,19 @@ failure probability xi is targeted instead of a fixed eta, once
 
 Noisy case: when the estimate matches the spectrum exactly, the residual is
 pure receiver noise, whose moduli are Rayleigh with mean sqrt(pi/2) * delta.
-Halting tests |rho - sqrt(pi/2) delta| <= theta; the budget
+Halting tests |rho - sqrt(pi/2) delta| <= theta, which v_p testing rows
+satisfy with probability at least
 
-    v_p = ceil( ln(2 / rho_fail) ((4 - pi) delta^2 + 2 theta delta) / theta^2 )
+    1 - 2 exp( -v_p theta^2 / ((4 - pi) delta^2 + 2 theta delta) ),
 
-makes that event miss with probability at most rho_fail, and conversely the
-achievable accuracy theta at fixed (rho_fail, v_p) is the positive root of
-
-    v_p theta^2 - (1/2) ln(2 / rho_fail) delta theta - (4 - pi) ln(2 / rho_fail) delta^2 = 0.
+the floor :func:`confidence_floor_noisy` gives.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import CriterionUnsatisfiableWarning, ParameterError, check_fields, from_fields
 
@@ -47,16 +45,13 @@ __all__ = [
     "FOUR_MINUS_PI",
     "HaltingConfig",
     "ValidationReport",
-    "scaled_validation_parameter",
     "confidence_interval",
     "confidence_floor_noiseless",
     "testing_size_noiseless",
     "noiseless_threshold",
     "can_halt",
     "halting_rule",
-    "testing_size_noisy",
     "confidence_floor_noisy",
-    "accuracy_from_confidence",
 ]
 
 RAYLEIGH_MEAN_FACTOR = math.sqrt(math.pi / 2.0)
@@ -111,9 +106,6 @@ class HaltingConfig:
             if self.accuracy is None or self.accuracy <= 0:
                 raise ParameterError("noisy mode needs a positive accuracy")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "HaltingConfig":
         return from_fields(cls, "halting", raw)
@@ -128,17 +120,11 @@ class ValidationReport:
     interval_high: float
 
 
-def scaled_validation_parameter(rho: float, n: int) -> float:
-    """Error-scale proxy sqrt(pi * n / 2) * rho for spectrum length n."""
-    if n < 1:
-        raise ParameterError("spectrum length must be positive")
-    return math.sqrt(math.pi * n / 2.0) * rho
-
-
 def confidence_interval(rho: float, n: int, eta: float) -> ValidationReport:
     """Two-sided error interval implied by the validation parameter.
 
-    At spectrum length ``n`` the true spectral error lies in
+    At spectrum length ``n`` the error-scale proxy is scaled =
+    sqrt(pi * n / 2) * rho, and the true spectral error lies in
     [scaled/(1+eta), scaled/(1-eta)], with a probability that
     :func:`confidence_floor_noiseless` bounds from below.
     """
@@ -146,7 +132,9 @@ def confidence_interval(rho: float, n: int, eta: float) -> ValidationReport:
         raise ParameterError("rho must be >= 0")
     if not 0.0 < eta < 0.5:
         raise ParameterError("eta must lie in (0, 0.5)")
-    scaled = scaled_validation_parameter(rho, n)
+    if n < 1:
+        raise ParameterError("spectrum length must be positive")
+    scaled = math.sqrt(math.pi * n / 2.0) * rho
     return ValidationReport(
         scaled_rho=scaled,
         interval_low=scaled / (1.0 + eta),
@@ -234,16 +222,6 @@ def halting_rule(cfg: HaltingConfig, n: int, v_p: int):
     return lambda rho: abs(rho - centre) <= cfg.accuracy
 
 
-def testing_size_noisy(theta: float, delta: float, failure_prob: float) -> int:
-    """Testing rows for the noisy criterion to fire with miss rate <= failure_prob."""
-    if theta <= 0 or delta <= 0:
-        raise ParameterError("theta and delta must be positive")
-    if not 0.0 < failure_prob < 2.0:
-        raise ParameterError("failure_prob must lie in (0, 2)")
-    num = math.log(2.0 / failure_prob) * (FOUR_MINUS_PI * delta * delta + 2.0 * theta * delta)
-    return math.ceil(num / (theta * theta))
-
-
 def confidence_floor_noisy(v_p: int, theta: float, delta: float) -> float:
     """Lower bound on the noisy criterion firing when the estimate is exact."""
     if v_p < 1:
@@ -254,20 +232,3 @@ def confidence_floor_noisy(v_p: int, theta: float, delta: float) -> float:
         -v_p * theta * theta / (FOUR_MINUS_PI * delta * delta + 2.0 * theta * delta)
     )
     return min(max(floor, 0.0), 1.0)
-
-
-def accuracy_from_confidence(failure_prob: float, delta: float, v_p: int) -> float:
-    """Smallest accuracy theta achievable at (failure_prob, v_p).
-
-    Positive root of v theta^2 - (1/2) L delta theta - (4 - pi) L delta^2 = 0
-    with L = ln(2 / failure_prob).
-    """
-    if not 0.0 < failure_prob < 2.0:
-        raise ParameterError("failure_prob must lie in (0, 2)")
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
-    if v_p < 1:
-        raise ParameterError("v_p must be >= 1")
-    log_term = math.log(2.0 / failure_prob)
-    disc = log_term * log_term + 16.0 * FOUR_MINUS_PI * log_term * v_p
-    return (log_term * delta + delta * math.sqrt(disc)) / (4.0 * v_p)

@@ -1,23 +1,91 @@
-"""Reference solvers and statistics the tests compare the package against.
+"""Reference solvers, transforms and formulas for the tests.
 
-They are exact but slow (dense dictionaries, support enumeration, a fresh
-inverse DFT per call), so the package itself never calls them.
-:class:`DenseDictionary` lets the package's pursuit run over a dense
-dictionary, for comparison with these solvers, and
+The solvers and statistics are exact but slow (dense dictionaries, support
+enumeration, a fresh inverse DFT per call), so the package itself never
+calls them.  :class:`DenseDictionary` lets the package's pursuit run over a
+dense dictionary, for comparison with these solvers, and
 :func:`fourier_dictionary` builds the package's own dictionary from a whole
 matrix, which the package never holds.
+
+The rest are paper formulas that no command runs: the DFT pair
+(:func:`dft`, :func:`idft`) on the package's records, and the noisy
+criterion's testing budget (:func:`testing_size_noisy`) with its inverse,
+the accuracy reachable at a given budget
+(:func:`accuracy_from_confidence`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from widesense.errors import DimensionError, ParameterError
 from widesense.recovery import FourierDictionary
-from widesense.signals import Spectrum
+from widesense.signals import Spectrum, TimeSeries
+from widesense.validation import FOUR_MINUS_PI
+
+
+def dft(ts: TimeSeries) -> Spectrum:
+    """Unnormalized forward DFT of the samples."""
+    return Spectrum(bins=np.fft.fft(ts.samples), bin_resolution=ts.rate / len(ts.samples))
+
+
+def idft(spectrum: Spectrum, rate: float | None = None) -> TimeSeries:
+    """Inverse DFT (1/n convention); real output is returned as float."""
+    n = len(spectrum.bins)
+    if n == 0:
+        raise DimensionError("cannot invert an empty spectrum")
+    x = np.fft.ifft(spectrum.bins)
+    scale = np.max(np.abs(x))
+    if scale == 0.0 or np.max(np.abs(x.imag)) <= 1e-12 * scale:
+        x = x.real
+    if rate is None:
+        if spectrum.bin_resolution is not None:
+            rate = spectrum.bin_resolution * n
+        else:
+            rate = float(n)
+    return TimeSeries(samples=x, rate=rate)
+
+
+def testing_size_noisy(theta: float, delta: float, failure_prob: float) -> int:
+    """Testing rows for the noisy criterion to fire with miss rate <= failure_prob.
+
+    At noise level delta and accuracy theta the budget is
+
+        v_p = ceil( ln(2 / failure_prob) ((4 - pi) delta^2 + 2 theta delta) / theta^2 ),
+
+    the least v_p at which the package's ``confidence_floor_noisy`` reaches
+    1 - failure_prob.
+    """
+    if theta <= 0 or delta <= 0:
+        raise ParameterError("theta and delta must be positive")
+    if not 0.0 < failure_prob < 2.0:
+        raise ParameterError("failure_prob must lie in (0, 2)")
+    num = math.log(2.0 / failure_prob) * (FOUR_MINUS_PI * delta * delta + 2.0 * theta * delta)
+    return math.ceil(num / (theta * theta))
+
+
+def accuracy_from_confidence(failure_prob: float, delta: float, v_p: int) -> float:
+    """Smallest accuracy theta achievable at (failure_prob, v_p).
+
+    The positive root of the quadratic
+
+        v_p theta^2 - (1/2) L delta theta - (4 - pi) L delta^2 = 0,
+
+    with L = ln(2 / failure_prob).
+    """
+    if not 0.0 < failure_prob < 2.0:
+        raise ParameterError("failure_prob must lie in (0, 2)")
+    if delta <= 0:
+        raise ParameterError("delta must be positive")
+    if v_p < 1:
+        raise ParameterError("v_p must be >= 1")
+    log_term = math.log(2.0 / failure_prob)
+    disc = log_term * log_term + 16.0 * FOUR_MINUS_PI * log_term * v_p
+    return (log_term * delta + delta * math.sqrt(disc)) / (4.0 * v_p)
 
 
 def validation_parameter(testing: np.ndarray, psi: np.ndarray, estimate) -> float:

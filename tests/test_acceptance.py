@@ -12,16 +12,21 @@ import numpy as np
 import pytest
 
 from widesense.experiments import ExperimentConfig, default_config, run_experiment
-from oracles import DenseDictionary, brute_force_l0
+from oracles import (
+    DenseDictionary,
+    accuracy_from_confidence,
+    brute_force_l0,
+    dft,
+    idft,
+    testing_size_noisy,
+)
 from widesense.recovery import omp
-from widesense.signals import Spectrum, TimeSeries, dft, idft
+from widesense.signals import TimeSeries
 from widesense.validation import (
     FOUR_MINUS_PI,
     HaltingConfig,
-    accuracy_from_confidence,
     confidence_floor_noisy,
     noiseless_threshold,
-    testing_size_noisy,
 )
 
 pytestmark = pytest.mark.acceptance

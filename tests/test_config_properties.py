@@ -153,7 +153,7 @@ def test_configs_round_trip_through_json(kind):
     @FEW
     @given(CONFIGS[kind])
     def check(cfg):
-        assert type(cfg).from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert type(cfg).from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     check()
 
@@ -223,10 +223,11 @@ def _scalar_fields(obj):
 
 
 def _rebuild(obj, name, value):
-    """``obj`` with one field changed: through ``to_dict`` and ``from_dict``
-    where the class serializes itself, else through its constructor."""
-    if hasattr(obj, "to_dict"):
-        return type(obj).from_dict({**obj.to_dict(), name: value})
+    """``obj`` with one field changed: through ``dataclasses.asdict`` and
+    ``from_dict`` where the class is a config section, else through its
+    constructor."""
+    if isinstance(obj, (HaltingConfig, FrameConfig, DetectorConfig, ExperimentConfig)):
+        return type(obj).from_dict({**dataclasses.asdict(obj), name: value})
     return dataclasses.replace(obj, **{name: value})
 
 

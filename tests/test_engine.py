@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -88,12 +89,12 @@ class TestFrameConfig:
 
     def test_round_trip(self):
         frame = _frame()
-        assert FrameConfig.from_dict(frame.to_dict()) == frame
+        assert FrameConfig.from_dict(dataclasses.asdict(frame)) == frame
         with pytest.raises(ParameterError):
-            FrameConfig.from_dict({**frame.to_dict(), "rate": 1.0})
+            FrameConfig.from_dict({**dataclasses.asdict(frame), "rate": 1.0})
 
     def test_from_dict_names_missing_keys(self):
-        raw = _frame().to_dict()
+        raw = dataclasses.asdict(_frame())
         del raw["testing_per_step"], raw["time_step"]
         with pytest.raises(ParameterError, match=r"\['testing_per_step', 'time_step'\]"):
             FrameConfig.from_dict(raw)
@@ -130,11 +131,11 @@ class TestDetectorConfig:
 
     def test_round_trip(self):
         det = DetectorConfig(bands=((0.0, 1e9), (1e9, 2.5e9)), threshold=2.0)
-        assert DetectorConfig.from_dict(det.to_dict()) == det
+        assert DetectorConfig.from_dict(dataclasses.asdict(det)) == det
 
     @pytest.mark.parametrize("key", ["bands", "threshold"])
     def test_from_dict_names_missing_keys(self, key):
-        raw = DetectorConfig(bands=((0.0, 1e9),), threshold=2.0).to_dict()
+        raw = dataclasses.asdict(DetectorConfig(bands=((0.0, 1e9),), threshold=2.0))
         del raw[key]
         with pytest.raises(ParameterError, match=key):
             DetectorConfig.from_dict(raw)
@@ -167,7 +168,7 @@ class TestIterFrameSteps:
             seen.append(p)
             assert ms.phi.shape == (30 * p, 200 * p)
             assert ms.psi.shape == (10 * p, 200 * p)
-            assert len(window) == 200 * p
+            assert len(window.samples) == 200 * p
             expected = signal_time_series(FOUR_TONES, p * frame.time_step)
             assert np.array_equal(window.samples, expected.samples)
             if p == 3:
@@ -318,6 +319,16 @@ class TestEnergyDetect:
     def test_needs_resolution(self):
         with pytest.raises(ParameterError):
             energy_detect(Spectrum(bins=np.ones(4, dtype=complex)), (0.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("band, threshold, message", [
+        ((0.0, 1.0), 0.0, "detection threshold must be positive"),
+        ((2.0, 1.0), 1.0, r"invalid band \(2.0, 1.0\)"),
+        ((-1.0, 1.0), 1.0, r"invalid band \(-1.0, 1.0\)"),
+    ])
+    def test_rejects_bad_threshold_and_band(self, band, threshold, message):
+        spectrum = Spectrum(bins=np.ones(4, dtype=complex), bin_resolution=1.0)
+        with pytest.raises(ParameterError, match=message):
+            energy_detect(spectrum, band, threshold)
 
 
 class TestCalibrateLambda:

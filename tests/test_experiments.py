@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -241,6 +242,15 @@ class TestResultTable:
         assert (tmp_path / "u.txt").read_text() == table.to_csv_text()
         table.write(str(tmp_path / "v.json"), "csv")
         assert (tmp_path / "v.json").read_text() == table.to_csv_text()
+
+    def test_a_failed_write_leaves_no_part_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            self._table().write(str(tmp_path / "t.csv"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSignificantRelativeMse:
@@ -521,6 +531,8 @@ class TestDeterminism:
     def test_one_process_pool_serves_the_whole_sweep(self, monkeypatch):
         # Three cells of two chunks each at two workers start one pool, whose
         # workers pin BLAS, and the sweep shuts it down before it returns.
+        # Two CPUs, whatever the host has, so that two workers are allowed.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pools = []
 
         class Counting(concurrent.futures.ProcessPoolExecutor):
@@ -538,6 +550,32 @@ class TestDeterminism:
             pools[0].submit(int)
         assert pooled.to_csv_text() == run_experiment(ExperimentConfig(**cfg)).to_csv_text()
         assert len(pools) == 1
+
+    def test_the_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # A pool forks its workers at the first submit, so a million workers
+        # asked for would be a million processes; no process starts here.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = []
+
+        class Recording:
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        cfg = dict(name="halting_probability", trials=23, master_seed=8,
+                   grid={"accuracy_factor": [0.6], "testing_size": [20, 40]})
+        table = run_experiment(ExperimentConfig(**cfg, workers=10**6))
+        assert pools == [{"max_workers": 2, "initializer": rng._pin_worker}]
+        assert table.to_csv_text() == run_experiment(ExperimentConfig(**cfg)).to_csv_text()
 
     def test_a_serial_run_imports_no_pool_machinery(self):
         script = (
@@ -753,9 +791,12 @@ class TestCli:
         (lambda raw: raw.update(master_seed="x"), "master_seed must be an integer"),
         (lambda raw: raw["halting"].update(confidence_floor=0.9),
          "unknown halting config keys: ['confidence_floor']"),
+        (lambda raw: raw["frame"].update(time_step=-0.04e-6), "time_step must be positive"),
+        (lambda raw: raw["frame"].update(testing_per_step=0), "testing_per_step must be >= 1"),
     ], ids=["nan-frame-length", "no-testing-per-step", "no-detector-bands",
             "fractional-testing-per-step", "fractional-max-sparsity", "text-min-testing",
-            "one-edge-band", "text-master-seed", "retired-confidence-floor"])
+            "one-edge-band", "text-master-seed", "retired-confidence-floor",
+            "negative-time-step", "zero-testing-per-step"])
     def test_malformed_frame_sections_exit_one(self, tmp_path, capsys, edit, message):
         payload = {
             "frame": dict(DESK_FRAME, testing_per_step=10),
@@ -802,11 +843,18 @@ class TestCli:
         (False, lambda raw: raw["halting"].update(jl_constant=None),
          "jl_constant must be a real number"),
         (False, lambda raw: raw["signal"].pop("tones"), "missing grid spectrum config keys: ['tones']"),
+        (False, lambda raw: raw["signal"]["tones"].append([40, 1.0]),
+         "grid spectrum tone must be a list of 3 values, got [40, 1.0]"),
+        (True, _subband(B_hz=-2e7), "bandwidth must be >= 0, got -20000000.0"),
+        (True, _signal(W_hz=0.0), "total_bandwidth must be positive"),
+        (False, _signal(reference_length=1), "reference_length must be at least 2"),
+        (False, _signal(nyquist_hz=0.0), "nyquist_rate must be positive"),
     ], ids=["fractional-bin", "text-bin", "nan-amplitude", "boolean-amplitude", "inf-phase",
             "nan-background", "fractional-background-seed", "negative-background-seed",
             "float-reference-length", "unknown-signal-key", "unknown-subband-key",
             "unknown-top-level-key", "nan-W", "nan-E", "nan-fc", "nan-alpha", "text-alpha",
-            "null-jl-constant", "grid-without-tones"])
+            "null-jl-constant", "grid-without-tones", "two-value-tone", "negative-bandwidth",
+            "zero-W", "one-sample-slot", "zero-nyquist"])
     def test_ill_typed_signal_and_top_level_exit_one(self, tmp_path, capsys, wideband, edit,
                                                       message):
         payload = self._signal_payload(wideband)
@@ -900,11 +948,13 @@ class TestCli:
         ({"name": "interval_coverage", "grid": {"testing_size": [0]}}, "grid testing_size"),
         ({"name": "halting_probability", "grid": {"testing_size": [0]}}, "grid testing_size"),
         ({"name": "phase_transition", "grid": {"measurements": [0]}}, "grid measurements"),
+        ({"name": "phase_transition", "grid": []}, "experiment grid must be a dict, got []"),
     ], ids=["negative-sparsity", "negative-testing-size", "negative-noise-power",
             "fractional-testing-per-step", "fractional-trials", "boolean-trials",
             "fractional-master-seed", "fractional-signal-length", "fractional-max-sparsity",
             "fractional-band-count", "zero-jl-constant", "zero-signal-length",
-            "zero-coverage-testing-size", "zero-halting-testing-size", "zero-measurements"])
+            "zero-coverage-testing-size", "zero-halting-testing-size", "zero-measurements",
+            "list-grid"])
     def test_ill_typed_run_values_exit_one(self, tmp_path, capsys, payload, key):
         assert main(["run", self._write(tmp_path, payload)]) == 1
         assert key in capsys.readouterr().err
@@ -921,6 +971,15 @@ class TestCli:
         payload = {"name": "phase_transition", "trials": 1, "base": {"signal_length": "abc"}}
         assert main(["run", self._write(tmp_path, payload)]) == 1
         assert "signal_length must be a real number" in capsys.readouterr().err
+
+    def test_running_the_module_exits_with_the_command_code(self, monkeypatch, capsys):
+        # A fresh run of the module, as `python -m widesense.cli list` does.
+        monkeypatch.delitem(sys.modules, "widesense.cli")
+        monkeypatch.setattr(sys, "argv", ["widesense", "list"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("widesense.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out.splitlines() == list(EXPERIMENT_NAMES)
 
     def test_bad_invocations_exit_one(self, capsys):
         for argv in ([], ["nope"], ["run"]):

@@ -1,10 +1,14 @@
+import ast
 import importlib
 import importlib.util
 import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("widesense.engine", "widesense.experiments", "widesense.recovery",
            "widesense.sensing", "widesense.signals", "widesense.validation")
 
@@ -51,3 +55,45 @@ def test_every_benchmark_trace_target_exists():
     finally:
         tracer.remove()
     assert widesense.recovery.sasr is original
+
+
+def _defined(stmt) -> set:
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _used(path: Path) -> set:
+    """The names ``path`` loads, reads as attributes or imports, each
+    outside the top-level statement that defines it."""
+    used = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        used |= names - _defined(stmt)
+    return used
+
+
+def test_every_export_is_used_outside_the_tests():
+    # The public surface is what the CLI, the experiments, the benchmark,
+    # the tools and the README use; a test-only helper belongs in tests/.
+    import widesense
+
+    used = set()
+    for path in sorted(p for d in ("src", "bench", "tools") for p in (ROOT / d).rglob("*.py")):
+        used |= _used(path)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for info in pkgutil.iter_modules(widesense.__path__):
+        module = importlib.import_module(f"widesense.{info.name}")
+        unused += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                   if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []

@@ -119,13 +119,16 @@ def _dictionary(rows, n):
 
 
 def test_measurement_set_validates_shapes():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"psi shape \(1, 8\) does not match \(1, 7\)"):
         MeasurementSet(
             training=np.zeros(2, dtype=complex),
             testing=np.zeros(1, dtype=complex),
             phi=_dictionary(2, 7),
             psi=_dictionary(1, 8),
         )
+    with pytest.raises(DimensionError, match=r"phi shape \(3, 8\) does not match \(2, 8\)"):
+        MeasurementSet(np.zeros(2, dtype=complex), np.zeros(1, dtype=complex),
+                       _dictionary(3, 8), _dictionary(1, 8))
     # the dictionaries are one-trial operators, not matrices or stacks
     for phi in (np.zeros((2, 8)), fourier_dictionary(np.zeros((3, 2, 8)))):
         with pytest.raises(DimensionError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dft, idft
 from widesense.errors import DimensionError, InvalidSpecError, ParameterError
 from widesense.signals import (
     GridSpectrumSpec,
@@ -11,8 +12,6 @@ from widesense.signals import (
     SubbandSpec,
     TimeSeries,
     WidebandSignalSpec,
-    dft,
-    idft,
     random_grid_spectrum,
     signal_time_series,
     synthesize_grid_signal,
@@ -133,7 +132,7 @@ def test_synthesize_signal_matches_pulse_formula():
         total_bandwidth=500e6, subbands=(sb,), time_offset=1e-8
     )
     ts = synthesize_signal(spec, 1e-6)
-    t = np.arange(len(ts)) / spec.nyquist_rate - 1e-8
+    t = np.arange(len(ts.samples)) / spec.nyquist_rate - 1e-8
     expected = 2.0 * 10e6 * np.sinc(10e6 * t) * np.cos(2 * np.pi * 200e6 * t)
     assert np.allclose(ts.samples, expected)
     assert ts.rate == spec.nyquist_rate
@@ -148,8 +147,8 @@ def test_synthesize_rejects_fractional_sample_count():
 def test_signal_time_series_dispatch():
     grid = GridSpectrumSpec(16, 16.0, (GridTone(2, 1.0),))
     wide = WidebandSignalSpec(total_bandwidth=8.0, subbands=())
-    assert len(signal_time_series(grid, 1.0)) == 16
-    assert len(signal_time_series(wide, 1.0)) == 16
+    assert len(signal_time_series(grid, 1.0).samples) == 16
+    assert len(signal_time_series(wide, 1.0).samples) == 16
     with pytest.raises(InvalidSpecError):
         signal_time_series(object(), 1.0)
 
@@ -222,6 +221,24 @@ def test_random_grid_spectrum_rejects_odd_sparsity():
     rng = np.random.default_rng(7)
     with pytest.raises(ParameterError):
         random_grid_spectrum(rng, 100, 100.0, 7, 2)
+
+
+@pytest.mark.parametrize("reference_length, sparsity, n_groups, message", [
+    (100, 4, 0, "need at least one tone per group"),
+    (100, 4, 3, "need at least one tone per group"),
+    (20, 16, 2, "groups do not fit below the Nyquist bin"),
+])
+def test_random_grid_spectrum_rejects_impossible_layouts(reference_length, sparsity, n_groups,
+                                                         message):
+    rng = np.random.default_rng(7)
+    with pytest.raises(ParameterError, match=message):
+        random_grid_spectrum(rng, reference_length, 100.0, sparsity, n_groups)
+
+
+@pytest.mark.parametrize("rate", [0.0, -5.0])
+def test_time_series_needs_positive_rate(rate):
+    with pytest.raises(ParameterError, match="sample rate must be positive"):
+        TimeSeries(samples=np.zeros(4), rate=rate)
 
 
 def test_time_series_immutability():

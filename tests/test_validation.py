@@ -1,25 +1,24 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oracles import validation_parameter
+from oracles import accuracy_from_confidence, testing_size_noisy, validation_parameter
 from widesense.errors import CriterionUnsatisfiableWarning, DimensionError, ParameterError
 from widesense.signals import Spectrum
 from widesense.validation import (
     FOUR_MINUS_PI,
     RAYLEIGH_MEAN_FACTOR,
     HaltingConfig,
-    accuracy_from_confidence,
     can_halt,
     confidence_floor_noiseless,
     confidence_floor_noisy,
     confidence_interval,
     halting_rule,
     noiseless_threshold,
-    scaled_validation_parameter,
     testing_size_noiseless,
-    testing_size_noisy,
 )
 
 
@@ -56,20 +55,20 @@ class TestHaltingConfig:
 
     def test_round_trip(self):
         cfg = _noiseless_cfg(failure_prob=0.05, min_testing=40)
-        assert HaltingConfig.from_dict(cfg.to_dict()) == cfg
+        assert HaltingConfig.from_dict(dataclasses.asdict(cfg)) == cfg
         noisy = _noisy_cfg(min_testing=20)
-        assert HaltingConfig.from_dict(noisy.to_dict()) == noisy
+        assert HaltingConfig.from_dict(dataclasses.asdict(noisy)) == noisy
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ParameterError):
             HaltingConfig.from_dict({"mode": "noisy", "max_sparsity": 5, "sigma": 1.0})
-        raw = dict(_noisy_cfg().to_dict(), confidence_floor=0.9)
+        raw = dict(dataclasses.asdict(_noisy_cfg()), confidence_floor=0.9)
         with pytest.raises(ParameterError, match="confidence_floor"):
             HaltingConfig.from_dict(raw)
 
     @pytest.mark.parametrize("key", ["mode", "max_sparsity"])
     def test_from_dict_names_missing_keys(self, key):
-        raw = _noisy_cfg().to_dict()
+        raw = dataclasses.asdict(_noisy_cfg())
         del raw[key]
         with pytest.raises(ParameterError, match=key):
             HaltingConfig.from_dict(raw)
@@ -95,6 +94,10 @@ class TestHaltingConfig:
         ("min_testing", 40.0, "must be an integer"),
         ("min_testing", "abc", "must be a real number"),
         ("error_threshold", "1.0", "must be a real number"),
+        ("max_sparsity", 0, "must be >= 1"),
+        ("jl_constant", 0.0, "must be positive"),
+        ("min_testing", 0, "must be >= 1 when set"),
+        ("failure_prob", 4.0, r"must lie in \(0, 4\)"),
     ])
     def test_rejects_ill_typed_fields(self, field, value, message):
         with pytest.raises(ParameterError, match=f"{field} {message}"):
@@ -126,11 +129,11 @@ class TestValidationParameter:
 
 
 def test_scaled_parameter_formula():
-    assert scaled_validation_parameter(0.1, 200) == pytest.approx(
+    assert confidence_interval(0.1, 200, 0.2).scaled_rho == pytest.approx(
         math.sqrt(math.pi * 100) * 0.1
     )
     with pytest.raises(ParameterError):
-        scaled_validation_parameter(0.1, 0)
+        confidence_interval(0.1, 0, 0.2)
 
 
 class TestConfidenceInterval:
@@ -148,6 +151,15 @@ class TestConfidenceInterval:
         for eta in (0.0, 0.5, 0.7):
             with pytest.raises(ParameterError):
                 confidence_interval(0.1, 100, eta)
+
+    @pytest.mark.parametrize("rho, n, eta, message", [
+        (-0.1, 100, 0.2, "rho must be >= 0"),
+        (0.1, 100, 0.5, "eta must lie in (0, 0.5)"),
+        (0.1, 0, 0.2, "spectrum length must be positive"),
+    ])
+    def test_rejects_out_of_range_arguments(self, rho, n, eta, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            confidence_interval(rho, n, eta)
 
 
 class TestNoiselessConfidenceFloor:
@@ -174,6 +186,16 @@ class TestSizingRules:
 
     def test_noiseless_scales_with_constant(self):
         assert testing_size_noiseless(0.2, 0.05, 2.0) == 220
+
+    @pytest.mark.parametrize("eta, xi, jl_constant, message", [
+        (0.0, 0.05, 1.0, "eta must lie in (0, 0.5]"),
+        (0.6, 0.05, 1.0, "eta must lie in (0, 0.5]"),
+        (0.2, 4.0, 1.0, "xi must lie in (0, 4)"),
+        (0.2, 0.05, 0.0, "jl_constant must be positive"),
+    ])
+    def test_noiseless_argument_ranges(self, eta, xi, jl_constant, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            testing_size_noiseless(eta, xi, jl_constant)
 
     def test_noisy_frozen_values(self):
         assert testing_size_noisy(0.6, 1.0, 0.05) == 22
@@ -202,6 +224,16 @@ def test_confidence_floor_noisy_frozen_value():
     assert confidence_floor_noisy(50, 0.6, 1.0) == pytest.approx(0.9996813692513852)
     # weak accuracy pushes the raw bound negative; result clips to zero
     assert confidence_floor_noisy(1, 0.001, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("v_p, theta, delta, message", [
+    (0, 0.6, 1.0, "v_p must be >= 1"),
+    (50, 0.0, 1.0, "theta and delta must be positive"),
+    (50, 0.6, -1.0, "theta and delta must be positive"),
+])
+def test_confidence_floor_noisy_argument_ranges(v_p, theta, delta, message):
+    with pytest.raises(ParameterError, match=message):
+        confidence_floor_noisy(v_p, theta, delta)
 
 
 def test_accuracy_from_confidence_solves_quadratic():
@@ -235,6 +267,14 @@ class TestNoiselessThreshold:
         cfg = _noiseless_cfg(failure_prob=0.05)
         with pytest.raises(ParameterError):
             noiseless_threshold(200, cfg)
+
+    @pytest.mark.parametrize("n, cfg, message", [
+        (200, _noisy_cfg(), "noiseless_threshold needs a noiseless-mode config"),
+        (0, _noiseless_cfg(), "spectrum length must be positive"),
+    ])
+    def test_rejects_noisy_config_and_empty_spectrum(self, n, cfg, message):
+        with pytest.raises(ParameterError, match=message):
+            noiseless_threshold(n, cfg)
 
     def test_warns_when_unsatisfiable(self):
         cfg = _noiseless_cfg(failure_prob=0.05)
