@@ -24,9 +24,12 @@ trial count, its grid and base keys with their default values, the columns
 it adds, a trial function over a chunk of trial streams, the chunk size and
 a row aggregator.  One loop, ``_sweep``, runs every experiment.
 ``phase_transition`` runs each chunk of trials as one stacked pursuit,
-chunked to at most 800 kB of measurement matrices, and
-``halting_probability`` derives the noise streams of a chunk of up to 500
-trials at once; the other experiments run per trial.  A key's default also fixes
+chunked to at most 800 kB of measurement matrices; ``acss_vs_cs`` advances
+a chunk's frames in lockstep, recovering each step of a group of trials
+with one stacked SASR, and then runs each trial's full-budget baseline on
+its own; ``halting_probability`` derives the noise streams of a chunk of up
+to 500 trials at once.  ``interval_coverage``, ``error_tracking``,
+``sasr_vs_omp`` and ``single_frame`` run per trial.  A key's default also fixes
 its type: an integer default takes integers only, a ``None`` default an
 integer or null, and a float default any finite real, converted to float;
 every value must be >= 0, and >= 1 where the default is a positive integer.
@@ -65,7 +68,17 @@ except ImportError:
 
 import numpy as np
 
-from .engine import DetectorConfig, FrameConfig, iter_frame_steps, max_steps, run_frame, uniform_bands
+from .engine import (
+    _STACK_BYTES,
+    DetectorConfig,
+    FrameConfig,
+    _frame_steps,
+    _group_size,
+    iter_frame_steps,
+    max_steps,
+    run_frame,
+    uniform_bands,
+)
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
 from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp
 from .rng import _pin_worker, pin_blas_threads, stream_seed, substreams
@@ -343,13 +356,6 @@ def _frame_config(base: dict, **overrides) -> FrameConfig:
 # phase transition
 
 
-# A phase_transition chunk stacks about this many bytes of dictionaries
-# (5 trials at 100 x 200): enough for the stacked products to pay, and few
-# enough that the chunk's dictionaries and Q factors, which all sit in
-# memory at once, add little to a run's peak.
-_STACK_BYTES = 800_000
-
-
 def _phase_transition_chunk(cell, base) -> int:
     return max(1, _STACK_BYTES // (8 * cell["measurements"] * base["signal_length"]))
 
@@ -492,35 +498,58 @@ def _tracking_rows(cell, base, run):
 # adaptive sequential sensing vs fixed-budget baseline
 
 
-def _acss_trial(cell, base, seed, rng):
-    f_s, k = cell["sub_nyquist_rate"], cell["sparsity"]
+def _acss_frame(cell, base) -> FrameConfig:
+    return _frame_config(base, sub_nyquist_rate=cell["sub_nyquist_rate"])
+
+
+def _acss_chunk(cell, base) -> int:
+    """As many trials as one stacked group holds at the first frame step."""
+    frame = _acss_frame(cell, base)
+    return _group_size(frame.measurements_per_step - frame.testing_per_step,
+                       frame.nyquist_per_step)
+
+
+def _acss_trials(cell, base, streams):
+    """The chunk's frames advance in lockstep, each step recovered by one
+    stacked SASR per group (see :func:`widesense.engine._frame_steps`);
+    each trial's full-budget baseline then runs on its own."""
+    k = cell["sparsity"]
     n_ref = int(round(base["nyquist_rate"] * base["time_step"]))
-    if k:
-        spec = random_grid_spectrum(rng, n_ref, base["nyquist_rate"], k, max(1, k // 4))
-    else:
-        spec = GridSpectrumSpec(n_ref, base["nyquist_rate"], ())
-    frame = _frame_config(base, sub_nyquist_rate=f_s)
+    specs = [random_grid_spectrum(rng, n_ref, base["nyquist_rate"], k, max(1, k // 4)) if k
+             else GridSpectrumSpec(n_ref, base["nyquist_rate"], ()) for _seed, rng in streams]
+    seeds = streams.seeds.tolist()
+    frame = _acss_frame(cell, base)
+    adaptive = _acss_adaptive(specs, seeds, frame, base)
+    return [(ok, _acss_baseline(spec, seed, frame, base["max_sparsity"]), p)
+            for spec, seed, (ok, p) in zip(specs, seeds, adaptive)]
+
+
+def _acss_adaptive(specs, seeds, frame: FrameConfig, base) -> list:
+    """Each trial's (success, steps used) over its sequential frame."""
     halting = HaltingConfig(
         mode="noiseless",
         max_sparsity=base["max_sparsity"],
         error_threshold=base["error_threshold"],
         confidence_factor=base["confidence_factor"],
     )
-    budget = max_steps(frame)
-    adaptive_ok, p_used = False, budget
-    for p, window, _measurements, recovery in iter_frame_steps(spec, frame, halting, seed):
+    outcomes = [(False, max_steps(frame))] * len(specs)
+    for b, (p, window, _measurements, recovery) in _frame_steps(list(zip(specs, seeds)), frame,
+                                                                halting, False):
         if recovery.halted_by == "criterion":
             truth = np.fft.fft(window.samples)
-            adaptive_ok = _relative_sq_error(truth, recovery.estimate.bins) <= SUCCESS_MSE
-            p_used = p
-    # single-shot baseline: the whole frame budget, every row spent on training
+            outcomes[b] = (_relative_sq_error(truth, recovery.estimate.bins) <= SUCCESS_MSE, p)
+    return outcomes
+
+
+def _acss_baseline(spec, seed: int, frame: FrameConfig, k: int) -> bool:
+    """Single-shot baseline: the whole frame budget, every row spent on
+    training."""
+    budget = max_steps(frame)
     x = signal_time_series(spec, budget * frame.time_step).samples
     training, dictionary = draw_operator(x, frame.measurements_per_step * budget,
                                          stream_seed(seed, "baseline"))
-    baseline = omp(training, dictionary, base["max_sparsity"])
-    truth = np.fft.fft(x)
-    baseline_ok = _relative_sq_error(truth, baseline.estimate.bins) <= SUCCESS_MSE
-    return adaptive_ok, baseline_ok, p_used
+    baseline = omp(training, dictionary, k)
+    return _relative_sq_error(np.fft.fft(x), baseline.estimate.bins) <= SUCCESS_MSE
 
 
 def _acss_rows(cell, base, run):
@@ -531,7 +560,7 @@ def _acss_rows(cell, base, run):
     success with a smaller ``mean_p_final``.
     """
     row = _means(("success_rate", "baseline_success_rate", "mean_p_final"), run())
-    row["baseline_steps"] = max_steps(_frame_config(base, sub_nyquist_rate=cell["sub_nyquist_rate"]))
+    row["baseline_steps"] = max_steps(_acss_frame(cell, base))
     return [row]
 
 
@@ -593,8 +622,8 @@ def _sasr_trial(cell, base, seed, rng):
     )
     x = signal_time_series(spec, 1.0)
     truth = np.fft.fft(x.samples)
-    measurements = acquire(x, base["training_size"], base["testing_size"], rng, rng,
-                           noise_std=delta, noise_seed=stream_seed(seed, "noise"))
+    ms = acquire(x, base["training_size"], base["testing_size"], rng, rng,
+                 noise_std=delta, noise_seed=stream_seed(seed, "noise"))
     halting = HaltingConfig(
         mode="noisy",
         max_sparsity=base["max_sparsity"],
@@ -603,7 +632,8 @@ def _sasr_trial(cell, base, seed, rng):
     )
     # The exhaustive baseline continues the SASR pursuit up to max_sparsity
     # picks; it equals a fresh omp run on the training rows.
-    adaptive, exhaustive = _sasr_then_omp(measurements, halting)
+    [adaptive], [exhaustive] = _sasr_then_omp(ms.training[None], ms.testing[None], ms.phi, ms.psi,
+                                              halting)
     return (
         significant_relative_mse(truth, adaptive.estimate.bins),
         significant_relative_mse(truth, exhaustive.estimate.bins),
@@ -733,9 +763,10 @@ _EXPERIMENTS = {
               "nyquist_rate": 5e9, "testing_per_step": 10, "max_sparsity": 48,
               "error_threshold": 1.0, "confidence_factor": 0.2},
         columns=("success_rate", "baseline_success_rate", "mean_p_final", "baseline_steps"),
-        trial=functools.partial(_each_seed, _acss_trial),
+        trial=_acss_trials,
         rows=_acss_rows,
         label="{sub_nyquist_rate}:{sparsity}",
+        chunk=_acss_chunk,
     ),
     "halting_probability": _Experiment(
         trials=2000,

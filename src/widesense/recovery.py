@@ -37,13 +37,19 @@ run can reach, so a pick copies nothing that earlier picks built.
 
 The loop runs a stack of independent trials that share their dimensions:
 every array has a leading trial axis, and a trial retires from the stack
-when one of its stop rules fires.  :func:`omp` and :func:`sasr` are the
-one-trial case of the same loop.  The ``phase_transition`` experiment runs
-its fixed-k trials through it in chunks of about 800 kB of stacked
-dictionaries, small enough for the pursuit arrays to stay in cache.
-Every stacked product and reduction computes a trial's slice exactly as a
-one-trial run does (the slab rule, too, is decided by one trial's size),
-so each result is bit for bit independent of the chunk it ran in.
+when one of its stop rules fires.  SASR's estimate W, its running testing
+estimate and rho gain the same axis: each trial records the size at which
+its criterion fired while the stack picks on for the others, and its
+result is the prefix of its fit at that size.  :func:`omp` and
+:func:`sasr` are the one-trial case of these stacked loops.  The
+``phase_transition`` experiment runs its fixed-k trials through the OMP
+loop in chunks of about 800 kB of stacked dictionaries, small enough for
+the pursuit arrays to stay in cache, and the frame loop
+(:mod:`widesense.engine`) recovers each step of a group of trials with one
+stacked SASR.  Every stacked product and reduction computes a trial's
+slice exactly as a one-trial run does (the slab rule, too, is decided by
+one trial's size), so each result is bit for bit independent of the stack
+it ran in.
 """
 
 from __future__ import annotations
@@ -84,7 +90,10 @@ class FourierDictionary:
     trials' spectra; ``shape`` is the per-trial (rows, n) either way.  For
     a stack, :meth:`correlations` takes a (B, rows) stack of residuals and
     returns (B, n), and :meth:`column` takes one index per trial and returns
-    a (B, rows) stack of columns.  :func:`widesense.sensing.draw_operator`
+    a (B, rows) stack of columns; any other count of residuals or indices
+    raises :class:`~widesense.errors.DimensionError`.  A one-trial
+    dictionary also takes a lone residual vector or a scalar index.
+    :func:`widesense.sensing.draw_operator`
     builds the spectra by row blocks, so the matrix need never be held whole.
 
     Column j of the dictionary is conj(spectra[:, j]) / n for j <= n / 2
@@ -118,8 +127,12 @@ class FourierDictionary:
         # Views that every call would otherwise rebuild.
         self._real = self.spectra.view(np.float64)
         self._stack = self.spectra.reshape((self.trials, *spectra.shape[-2:]))
+        self._trials = np.arange(self.trials)
 
     def correlations(self, residual: np.ndarray) -> np.ndarray:
+        count = len(residual) if residual.ndim > 1 else 1
+        if count != self.trials:
+            raise DimensionError(f"{count} residuals for a dictionary of {self.trials} trials")
         (rows, n), h = self.shape, self.spectra.shape[-1]
         operand = np.empty((*residual.shape[:-1], 2, rows))
         operand[..., 0, :], operand[..., 1, :] = residual.real, residual.imag
@@ -148,7 +161,10 @@ class FourierDictionary:
     def column(self, j) -> np.ndarray:
         n = self.shape[1]
         picks = np.reshape(j, -1)
-        cols = self._stack[np.arange(len(picks)), :, np.minimum(picks, n - picks)]
+        if len(picks) != self.trials:
+            raise DimensionError(
+                f"{len(picks)} column indices for a dictionary of {self.trials} trials")
+        cols = self._stack[self._trials, :, np.minimum(picks, n - picks)]
         cols /= n
         np.conjugate(cols, out=cols, where=(picks <= n // 2)[:, None])
         return cols if np.ndim(j) else cols[0]
@@ -206,7 +222,10 @@ class _IncrementalFit:
     picked columns (``picked`` flags them by index) and ``trace`` the
     training residual norm after each.  ``active`` marks the trials still
     being extended; they all hold ``size`` columns, and a retired trial
-    keeps the ``sizes`` it reached.
+    keeps the ``sizes`` it reached.  Each pick writes the whole stack: a
+    retired trial's slots past its size take unit columns of R and are
+    never read.  ``all_active`` says, without a NumPy call, that no trial
+    has retired.
     """
 
     def __init__(self, ops, targets: np.ndarray, capacity: int):
@@ -222,10 +241,11 @@ class _IncrementalFit:
         self.trace = np.zeros((trials, capacity))
         self.size = 0
         self.sizes = np.zeros(trials, dtype=np.intp)
-        self.residual = self.y.copy()
+        self.residual = self.y
         self.residual_norm = _norms(self.y)
         self.rank_deficient = np.zeros(trials, dtype=bool)
         self.active = np.ones(trials, dtype=bool)
+        self.all_active = True
 
     def add(self, picks: np.ndarray) -> bool:
         """Add column ``picks[b]`` to each active trial b.
@@ -253,25 +273,27 @@ class _IncrementalFit:
         live = np.count_nonzero(self.active)
         if not live:
             return False
-        # Write only the active trials; a full slice when all are.
-        act = slice(None) if live == len(self.active) else self.active
-        q = q[act]
-        q /= nrm[act, None]
-        self.Q[act, t] = q
-        self.R[act, :t, t] = h[act]
-        self.R[act, t, t] = nrm[act]
-        self.support[act, t] = picks[act]
-        self.picked[self._trials[act], picks[act]] = True
-        self.qty[act, t] = np.vecdot(q, self.y[act])
-        residual = self.y[act] - _combine(self.qty[act, :t + 1], self.Q[act, :t + 1])
-        self.residual[act] = residual
-        self.residual_norm[act] = self.trace[act, t] = _norms(residual)
+        self.all_active = live == len(self.active)
+        if not self.all_active:
+            # Unit columns of R keep a retired trial's unread slots finite.
+            h[~self.active] = 0.0
+            nrm[~self.active] = 1.0
+        q /= nrm[:, None]
+        self.Q[:, t] = q
+        self.R[:, :t, t] = h
+        self.R[:, t, t] = nrm
+        self.support[:, t] = picks
+        self.picked[self._trials, picks] = True
+        self.qty[:, t] = np.vecdot(q, self.y)
+        self.residual = self.y - _combine(self.qty[:, :t + 1], self.Q[:, :t + 1])
+        self.residual_norm = self.trace[:, t] = _norms(self.residual)
         self.size = t + 1
-        self.sizes[act] = self.size
+        self.sizes[self.active] = self.size
         return True
 
-    def coefficients(self, b: int) -> np.ndarray:
-        size = self.sizes[b]
+    def coefficients(self, b: int, size: int) -> np.ndarray:
+        """Trial b's coefficients on its first ``size`` picks, solved from
+        R's leading block, which later picks leave as it is."""
         return np.linalg.solve(self.R[b, :size, :size], self.qty[b, :size])
 
 
@@ -298,20 +320,21 @@ def _pursue(fit: _IncrementalFit, steps: int):
             return
 
 
-def _result(fit: _IncrementalFit, b: int, rho_trace, halted_by: str) -> RecoveryResult:
-    size = int(fit.sizes[b])
+def _result(fit: _IncrementalFit, b: int, size: int, rho_trace, halted_by: str,
+            rank_deficient: bool) -> RecoveryResult:
+    """Trial b's result at its first ``size`` picks."""
     support = fit.support[b, :size]
     bins = np.zeros(fit.ops.shape[1], dtype=np.complex128)
     if size:
-        bins[support] = fit.coefficients(b)
+        bins[support] = fit.coefficients(b, size)
     return RecoveryResult(
         estimate=Spectrum(bins=bins),
         support=tuple(support.tolist()),
-        iterations=size,
+        iterations=int(size),
         rho_trace=tuple(rho_trace),
         residual_trace=tuple(fit.trace[b, :size].tolist()),
         halted_by=halted_by,
-        rank_deficient=bool(fit.rank_deficient[b]),
+        rank_deficient=bool(rank_deficient),
     )
 
 
@@ -325,8 +348,11 @@ def _check_k(k: int, rows: int) -> None:
         )
 
 
-def _fixed_k_label(fit: _IncrementalFit, b: int, k: int) -> str:
-    return "fixed_k" if fit.sizes[b] == k else "k_max_exhausted"
+def _omp_results(fit: _IncrementalFit, k: int) -> list[RecoveryResult]:
+    """Each trial's fixed-k result once ``fit`` has run its pursuit out."""
+    return [_result(fit, b, size, (), "fixed_k" if size == k else "k_max_exhausted",
+                    fit.rank_deficient[b])
+            for b, size in enumerate(fit.sizes)]
 
 
 def omp(training: np.ndarray, dictionary, k: int) -> RecoveryResult:
@@ -358,7 +384,7 @@ def _omp_batch(dictionary, training: np.ndarray, k: int) -> list[RecoveryResult]
     fit = _IncrementalFit(dictionary, training, k)
     for _ in _pursue(fit, k):
         pass
-    return [_result(fit, b, (), _fixed_k_label(fit, b, k)) for b in range(len(training))]
+    return _omp_results(fit, k)
 
 
 def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult:
@@ -371,59 +397,84 @@ def sasr(measurements: MeasurementSet, halting: HaltingConfig) -> RecoveryResult
     iterations are spent, or the training residual reaches its numerical
     floor.
     """
-    return next(_sasr_then_omp(measurements, halting))
+    ms = measurements
+    return next(_sasr_then_omp(ms.training[None], ms.testing[None], ms.phi, ms.psi, halting))[0]
 
 
-def _sasr_then_omp(measurements: MeasurementSet, halting: HaltingConfig):
-    """Yield :func:`sasr`'s result, then continue the same pursuit as OMP.
+def _sasr_then_omp(training: np.ndarray, testing: np.ndarray, phi, psi,
+                   halting: HaltingConfig):
+    """Yield :func:`sasr`'s result for each trial of a stack, then continue
+    the same pursuit as OMP and yield its results.
 
-    The second result equals ``omp(measurements.training,
-    measurements.phi, halting.max_sparsity)`` in every field: both fits
-    use the same training vector, dictionary and stop rules apart from the
-    criterion, so SASR's picks are a prefix of OMP's, and the baseline
-    keeps stepping SASR's pursuit (with its factors and residual norms)
-    instead of redoing those picks.
+    ``training`` (B, rows) and ``testing`` (B, v) are B trials'
+    measurements, and ``phi`` and ``psi`` their stacked dictionaries; the
+    trials share n, v and so the halting rule, which is resolved once.
+    Each trial computes rho until its criterion fires and records that
+    size, while the stack keeps picking for the trials still running.  Its
+    SASR result is the prefix of its fit at that size, so each result
+    equals its trial's one-trial run bit for bit.  The second results equal
+    ``omp(training[b], phi, halting.max_sparsity)`` for each trial b in
+    every field: both fits use the same training vector, dictionary and
+    stop rules apart from the criterion, so SASR's picks are a prefix of
+    OMP's, and the baseline keeps stepping SASR's pursuit (with its factors
+    and residual norms) instead of redoing those picks.
     """
-    A, B = measurements.phi, measurements.psi
-    y = np.asarray(measurements.training, dtype=np.complex128)
-    testing = np.asarray(measurements.testing, dtype=np.complex128)
-    v_p = len(testing)
+    testing = np.asarray(testing, dtype=np.complex128)
+    trials, v_p = testing.shape
     if v_p < 1:
         raise ParameterError("sasr needs at least one testing measurement")
-    halts = halting_rule(halting, A.shape[1], v_p)
-    capacity = min(halting.max_sparsity, len(y))
-    fit = _IncrementalFit(A, y[None], capacity)
+    rows = phi.shape[0]
+    halts = halting_rule(halting, phi.shape[1], v_p)
+    capacity = min(halting.max_sparsity, rows)
+    fit = _IncrementalFit(phi, training, capacity)
     picks = _pursue(fit, capacity)
+    rho = np.empty((trials, capacity + 1))
+    rho[:, 0] = np.abs(testing).sum(axis=-1) / v_p
     # The zero estimate may already satisfy the criterion (pure-noise or
     # zero-signal measurements); a zero training vector also leaves the
     # pursuit nothing to do.
-    rho_trace = [float(np.abs(testing).sum() / v_p)]
-    halted_by = "k_max_exhausted"
-    if halts(rho_trace[0]):
-        halted_by = "criterion"
-    elif fit.residual_norm[0] > 0.0:
+    halted = np.zeros(trials, dtype=bool)
+    halted |= halts(rho[:, 0])
+    started = ~halted & (fit.residual_norm > 0.0)
+    sizes = np.zeros(trials, dtype=np.intp)
+    live = started.copy()
+    if np.count_nonzero(live):
         # The testing estimate Psi_S R^-1 Q^H y, kept without a solve: row i
         # of W is column i of Psi_S R^-1, which later picks never change, so
         # pick t adds one row (the bordered inverse of R) and one term.
-        W = np.empty((capacity, v_p), dtype=np.complex128)
-        estimate = np.zeros(v_p, dtype=np.complex128)
-        R, qty = fit.R[0], fit.qty[0]
+        W = np.empty((trials, capacity, v_p), dtype=np.complex128)
+        estimate = np.zeros((trials, v_p), dtype=np.complex128)
         for _ in picks:
+            if not fit.all_active:
+                live &= fit.active
+                if not np.count_nonzero(live):
+                    break
             t = fit.size
-            r, w = R[:t, t - 1], W[t - 1]
-            w[:] = B.column(int(fit.support[0, t - 1]))
-            w -= r[:t - 1] @ W[:t - 1]
-            w /= r[t - 1]
-            estimate += qty[t - 1] * w
-            rho_trace.append(float(np.abs(testing - estimate).sum() / v_p))
-            if halts(rho_trace[-1]):
-                halted_by = "criterion"
-                break
-    yield _result(fit, 0, rho_trace, halted_by)
+            w = W[:, t - 1]
+            np.subtract(psi.column(fit.support[:, t - 1]),
+                        (fit.R[:, None, :t - 1, t - 1] @ W[:, :t - 1])[:, 0], out=w)
+            w /= fit.R[:, t - 1, t - 1, None]
+            estimate += fit.qty[:, t - 1, None] * w
+            rho[:, t] = rho_t = np.abs(testing - estimate).sum(axis=-1) / v_p
+            fired = halts(rho_t) & live
+            if np.count_nonzero(fired):
+                halted |= fired
+                sizes[fired] = t
+                live &= ~fired
+                if not np.count_nonzero(live):
+                    break
+    # A trial that ran out of picks stopped where it left the fit; it was
+    # active at every pick before, so its rank flag is the one it left with.
+    ran_out = started & ~halted
+    sizes[ran_out] = fit.sizes[ran_out]
+    rank_deficient = fit.rank_deficient & ran_out
+    yield [_result(fit, b, size, rho[b, :size + 1].tolist(),
+                   "criterion" if halted[b] else "k_max_exhausted", rank_deficient[b])
+           for b, size in enumerate(sizes)]
     # SASR caps its picks at the training rows; the baseline, like omp,
     # rejects a cap above them instead.
     k = halting.max_sparsity
-    _check_k(k, len(y))
+    _check_k(k, rows)
     for _ in picks:
         pass
-    yield _result(fit, 0, (), _fixed_k_label(fit, 0, k))
+    yield _omp_results(fit, k)

@@ -278,13 +278,13 @@ class TestRunFrame:
                                   max_steps(frame) - p_final, not halted)
 
         calls = []
-        original = engine.sasr
+        original = engine._sasr_then_omp
 
-        def counting_sasr(ms, cfg):
-            calls.append(ms.phi.shape[1] // 200)
-            return original(ms, cfg)
+        def counting_sasr(training, testing, phi, psi, cfg):
+            calls.append(phi.shape[1] // 200)
+            return original(training, testing, phi, psi, cfg)
 
-        monkeypatch.setattr(engine, "sasr", counting_sasr)
+        monkeypatch.setattr(engine, "_sasr_then_omp", counting_sasr)
         out = run_frame(FOUR_TONES, frame, halting, det, 7)
         assert out.to_json() == expected.to_json()
         gate = halting.min_testing or 0

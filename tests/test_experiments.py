@@ -507,6 +507,68 @@ class TestDeterminism:
         monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
         assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
 
+    def test_acss_bytes_do_not_depend_on_workers_or_groups(self, monkeypatch):
+        # The frames of a chunk advance in lockstep, in stacked groups of at
+        # most _STACK_BYTES of Phi spectra per step: groups of one, one
+        # group of every trial still running, and the default's mix.
+        cfg = dict(name="acss_vs_cs", trials=5, master_seed=13,
+                   grid={"sub_nyquist_rate": [750e6, 1e9], "sparsity": [8, 24]})
+        groups = []
+        original = engine._sasr_then_omp
+
+        def recording(training, testing, phi, psi, halting):
+            groups.append(phi.trials)
+            return original(training, testing, phi, psi, halting)
+
+        monkeypatch.setattr(engine, "_sasr_then_omp", recording)
+        serial = run_experiment(ExperimentConfig(**cfg)).to_csv_text()
+        mixed = list(groups)
+        assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
+        runs = {}
+        for stack_bytes in (1, 10**9):
+            monkeypatch.setattr(engine, "_STACK_BYTES", stack_bytes)
+            groups.clear()
+            assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
+            runs[stack_bytes] = list(groups)
+        # The default splits some steps that one large group would not.
+        assert max(mixed) == max(runs[10**9]) == 5 and len(mixed) > len(runs[10**9])
+        assert set(runs[1]) == {1}
+
+    def test_frame_groups_count_one_trials_phi_at_the_step(self, monkeypatch):
+        # One trial's Phi spectra at 1 GHz's third step (90 x 600) take
+        # 433 kB, at 750 MHz's (60 x 600) 289 kB and at a second step
+        # (60 x 400) 193 kB: one, two and four trials per group.
+        assert [engine._group_size(rows, n) for rows, n in
+                ((30, 200), (60, 400), (60, 600), (90, 600))] == [16, 4, 2, 1]
+        monkeypatch.setattr(engine, "_STACK_BYTES", 2 * 90 * 301 * 16)
+        assert engine._group_size(90, 600) == 2
+        monkeypatch.setattr(engine, "_STACK_BYTES", 2 * 90 * 301 * 16 - 1)
+        assert engine._group_size(90, 600) == 1
+        # Within a step the groups fill in order, each as large as the rule
+        # lets it; a chunk is one group at the first step.
+        monkeypatch.setattr(engine, "_STACK_BYTES", 800_000)
+        steps = []
+        original = engine._sasr_then_omp
+
+        def recording(training, testing, phi, psi, halting):
+            steps.append((phi.shape, phi.trials))
+            return original(training, testing, phi, psi, halting)
+
+        monkeypatch.setattr(engine, "_sasr_then_omp", recording)
+        cell, base = {"sub_nyquist_rate": 1e9, "sparsity": 24}, experiments._EXPERIMENTS[
+            "acss_vs_cs"].base
+        assert experiments._acss_chunk(cell, base) == 16
+        run_experiment(ExperimentConfig(name="acss_vs_cs", trials=6, master_seed=2,
+                                        grid={"sub_nyquist_rate": [1e9], "sparsity": [24]}))
+        by_step = {}
+        for shape, trials in steps:
+            by_step.setdefault(shape, []).append(trials)
+        assert len(by_step) >= 3
+        for (rows, n), sizes in by_step.items():
+            size = engine._group_size(rows, n)
+            live = sum(sizes)
+            assert sizes == [min(size, live - lo) for lo in range(0, live, size)], (rows, n)
+
     def test_halting_bytes_do_not_depend_on_workers_or_chunks(self, monkeypatch):
         cfg = dict(name="halting_probability", trials=23, master_seed=8,
                    grid={"accuracy_factor": [0.6], "testing_size": [20, 40]})

@@ -111,6 +111,35 @@ class TestFourierDictionary:
             assert np.array_equal(stacked.column(np.full(3, j)),
                                   [ops.column(j) for ops in slices]), j
 
+    def test_a_stack_takes_one_pick_and_one_residual_per_trial(self):
+        # A pick or residual count other than the trial count would mix up
+        # the trials, so it raises, naming both counts.
+        rng = np.random.default_rng(4)
+        stacked = fourier_dictionary(rng.standard_normal((3, 5, 16)))
+        for picks in (7, np.array([7]), np.array([7, 8]), np.arange(4)):
+            with pytest.raises(DimensionError, match=f"{np.size(picks)} column indices "
+                                                     "for a dictionary of 3 trials"):
+                stacked.column(picks)
+        for residuals in (rng.standard_normal(5), rng.standard_normal((2, 5))):
+            count = len(residuals) if residuals.ndim > 1 else 1
+            with pytest.raises(DimensionError, match=f"{count} residuals "
+                                                     "for a dictionary of 3 trials"):
+                stacked.correlations(residuals)
+        assert stacked.column(np.array([7, 8, 9])).shape == (3, 5)
+        assert stacked.correlations(rng.standard_normal((3, 5))).shape == (3, 16)
+
+    def test_one_trial_takes_a_scalar_pick_and_a_lone_residual(self):
+        rng = np.random.default_rng(5)
+        single = fourier_dictionary(rng.standard_normal((5, 16)))
+        assert single.column(7).shape == (5,)
+        assert single.column(np.array([7])).shape == (1, 5)
+        assert single.correlations(rng.standard_normal(5)).shape == (16,)
+        assert single.correlations(rng.standard_normal((1, 5))).shape == (1, 16)
+        with pytest.raises(DimensionError, match="2 column indices for a dictionary of 1 trials"):
+            single.column(np.array([7, 8]))
+        with pytest.raises(DimensionError, match="2 residuals for a dictionary of 1 trials"):
+            single.correlations(rng.standard_normal((2, 5)))
+
     def test_holds_the_spectra_it_is_given(self):
         spectra = np.fft.rfft(np.random.default_rng(6).standard_normal((4, 25)))
         ops = FourierDictionary(spectra, 25)
@@ -482,6 +511,11 @@ def _noisy_problem(amplitude, seed, noise_seed, max_sparsity=20, **kw):
     return ms, phi, halting
 
 
+def _one_trial(ms):
+    """The arguments of a one-trial stacked SASR on ``ms``."""
+    return ms.training[None], ms.testing[None], ms.phi, ms.psi
+
+
 class TestSasrThenOmp:
     """The continued baseline is a fresh exhaustive omp run, bit for bit."""
 
@@ -493,7 +527,7 @@ class TestSasrThenOmp:
     def test_baseline_equals_fresh_omp(self, amplitude, seed, noise_seed, gate,
                                        halted_by, iterations):
         ms, phi, halting = _noisy_problem(amplitude, seed, noise_seed, **gate)
-        adaptive, continued = _sasr_then_omp(ms, halting)
+        [adaptive], [continued] = _sasr_then_omp(*_one_trial(ms), halting)
         assert (adaptive.halted_by, adaptive.iterations) == (halted_by, iterations)
         fresh = omp(ms.training, fourier_dictionary(phi), halting.max_sparsity)
         assert continued.halted_by == fresh.halted_by == "fixed_k"
@@ -508,14 +542,14 @@ class TestSasrThenOmp:
         ms = acquire(x, 60, 110, rng, rng)
         phi = np.random.default_rng(3).standard_normal((60, 200))
         halting = _noiseless_halting(min_testing=500)
-        adaptive, continued = _sasr_then_omp(ms, halting)
+        [adaptive], [continued] = _sasr_then_omp(*_one_trial(ms), halting)
         assert (adaptive.halted_by, adaptive.iterations) == ("k_max_exhausted", 0)
         _assert_same_result(continued, omp(ms.training, fourier_dictionary(phi), 20))
 
     def test_cap_above_training_rows_is_rejected(self):
         ms, _, halting = _noisy_problem(8.0, 5, 10, max_sparsity=61)
-        halves = _sasr_then_omp(ms, halting)
-        assert next(halves).iterations == 8
+        halves = _sasr_then_omp(*_one_trial(ms), halting)
+        assert next(halves)[0].iterations == 8
         with pytest.raises(ParameterError, match="k = 61 exceeds the 60 training rows"):
             next(halves)
 
@@ -645,6 +679,94 @@ class TestBatchInvariance:
                 for b, result in zip(chunk, batch):
                     _assert_same_result(result, omp(training[b], fourier_dictionary(phi[b]), k))
                     event(f"{result.halted_by}, rank deficient: {result.rank_deficient}")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_every_stacked_sasr_over_seeds(self, data):
+        # Both yields of a stacked SASR equal each trial's one-trial sasr and
+        # omp runs bit for bit, under the noiseless and noisy rules and a
+        # closed gate.  A trial's training rows are random, an exactly
+        # sparse spectrum's (which reaches the residual floor once fitted,
+        # unless its criterion fires first), zero, or random rows through a
+        # matrix that repeats its first third of rows (which stops at a
+        # dependent or repeated pick, possibly after its criterion fired
+        # while the stack picked on).  Its testing rows are the spectrum's,
+        # zero (a halt at the zero estimate) or noise.  The stack is cut
+        # into chunks at random points.
+        rows, v, n = (data.draw(st.integers(2, 16)), data.draw(st.integers(1, 12)),
+                      data.draw(st.integers(4, 48)))
+        kinds = data.draw(st.lists(st.tuples(st.sampled_from(["random", "sparse", "zero", "repeat"]),
+                                             st.sampled_from(["signal", "zero", "noise"])),
+                                   min_size=1, max_size=6))
+        rule = data.draw(st.sampled_from(["noiseless", "noisy", "gated"]))
+        k = data.draw(st.integers(1, rows))
+        cuts = data.draw(st.sets(st.integers(1, len(kinds) - 1), max_size=len(kinds) - 1)
+                         if len(kinds) > 1 else st.just(set()))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        delta = 0.5 if rule == "noisy" else 0.0
+        halting = (HaltingConfig(mode="noisy", max_sparsity=k, noise_std=delta, accuracy=0.3)
+                   if rule == "noisy" else
+                   _noiseless_halting(max_sparsity=k, min_testing=v + 1 if rule == "gated" else 1))
+
+        def noise(size, std):
+            return std * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+        phi, psi = rng.standard_normal((len(kinds), rows, n)), rng.standard_normal((len(kinds), v, n))
+        training = np.zeros((len(kinds), rows), dtype=complex)
+        testing = np.zeros((len(kinds), v), dtype=complex)
+        for b, (train, test) in enumerate(kinds):
+            bins = rng.choice(n, rng.integers(1, min(rows // 2, n) + 1), replace=False)
+            x = np.fft.ifft(_sparse_spectrum(n, bins, b))
+            if train == "repeat":
+                phi[b] = phi[b, np.arange(rows) % max(1, rows // 3)]
+            if train == "sparse":
+                training[b] = phi[b] @ x + noise(rows, delta)
+            elif train != "zero":
+                training[b] = noise(rows, 1.0)
+            if test == "signal":
+                testing[b] = psi[b] @ x + noise(v, delta)
+            elif test == "noise":
+                testing[b] = noise(v, max(delta, 1.0))
+        for chunk in np.split(np.arange(len(kinds)), sorted(cuts)):
+            adaptive, exhaustive = _sasr_then_omp(training[chunk], testing[chunk],
+                                                  fourier_dictionary(phi[chunk]),
+                                                  fourier_dictionary(psi[chunk]), halting)
+            for b, a, e in zip(chunk, adaptive, exhaustive):
+                ms = MeasurementSet(training[b], testing[b], fourier_dictionary(phi[b]),
+                                    fourier_dictionary(psi[b]))
+                _assert_same_result(a, sasr(ms, halting))
+                _assert_same_result(e, omp(training[b], fourier_dictionary(phi[b]), k))
+                event(f"{a.halted_by} at {'zero' if a.iterations == 0 else 'a pick'}, "
+                      f"then {e.halted_by}, rank deficient: {e.rank_deficient}")
+
+    def test_a_halted_trial_keeps_its_result_while_the_stack_picks_on(self):
+        # Trial 0's dictionary spans 3 dimensions, and its training rows
+        # are one tone plus a small part off that span: its criterion fires
+        # at the first pick, and its fit then picks on beside trial 1, whose
+        # criterion never fires, until its fourth pick is dependent.  Its
+        # SASR result stays as it was at the halt.
+        rng = np.random.default_rng(12)
+        rows, v, n = 9, 12, 32
+        phi = rng.standard_normal((2, rows, n))
+        phi[0] = phi[0, np.arange(rows) % 3]
+        psi = rng.standard_normal((2, v, n))
+        x = np.fft.ifft(_sparse_spectrum(n, (5,), 1))
+        training = np.stack([phi[0] @ x + 1e-6 * rng.standard_normal(rows),
+                             rng.standard_normal(rows) + 1j * rng.standard_normal(rows)])
+        testing = np.stack([psi[0] @ x, 100 * rng.standard_normal(v)]).astype(complex)
+        halting = _noiseless_halting(max_sparsity=8, error_threshold=0.5)
+        adaptive, exhaustive = _sasr_then_omp(training, testing, fourier_dictionary(phi),
+                                              fourier_dictionary(psi), halting)
+        assert [(r.halted_by, r.iterations, r.rank_deficient) for r in adaptive] == [
+            ("criterion", 1, False), ("k_max_exhausted", 8, False)]
+        assert [(r.halted_by, r.iterations, r.rank_deficient) for r in exhaustive] == [
+            ("k_max_exhausted", 3, True), ("fixed_k", 8, False)]
+        assert len(adaptive[0].residual_trace) == 1
+        for b in range(2):
+            ms = MeasurementSet(training[b], testing[b], fourier_dictionary(phi[b]),
+                                fourier_dictionary(psi[b]))
+            _assert_same_result(adaptive[b], sasr(ms, halting))
+            _assert_same_result(exhaustive[b], omp(training[b], fourier_dictionary(phi[b]), 8))
 
     def test_omp_rejects_a_stack(self):
         phi, training = _fourier_chunk(8, 32, [None, None], seed=9)

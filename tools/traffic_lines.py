@@ -1,8 +1,9 @@
 """List the package statements that the benchmark and the output checks never run.
 
     python3 tools/traffic_lines.py
+    python3 tools/traffic_lines.py --unit-tests
 
-Runs, in this process and through ``widesense.cli.main``:
+By default it runs, in this process and through ``widesense.cli.main``:
 
 * rounds 0 and 1 of every benchmark workload at seed 1, set up by
   ``bench/prepare.prepare`` (with the benchmark's BLAS pin and
@@ -19,13 +20,21 @@ processes are not seen.  For each module it prints the statements that
 never ran, as line ranges, and apart from them the ``raise`` statements
 that never ran, since error paths stay whether or not traffic reaches
 them.  Exits 1 if a command exits non-zero.
+
+With ``--unit-tests`` it runs the unit tests instead (every module under
+``tests/`` but ``test_acceptance.py``) in this process under the same
+tracer, and prints for each module only the ``raise`` statements that no
+unit test runs.  Lines that tests run in child processes are not seen.
+Exits with pytest's code.
 """
 
+import argparse
 import ast
 import contextlib
 import io
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 from bench_record import ROOT
@@ -133,8 +142,55 @@ def run_traffic(scratch: Path) -> list:
     return failed
 
 
+def run_unit_tests() -> int:
+    """Run the unit tests in this process; pytest's exit code."""
+    import pytest
+
+    sys.path.insert(0, str(PACKAGE.parent))
+    tests = ROOT / "tests"
+    return pytest.main([str(tests), "-q", "-p", "no:cacheprovider",
+                        f"--ignore={tests / 'test_acceptance.py'}"])
+
+
+def never_ran(executed: set):
+    """Per package module: its path, its counts of statements and of raise
+    statements, and the spans of each that never ran."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        ran = {line for file, line in executed if file == str(path)}
+        counts, missed = [0, 0], ([], [])
+        for lines, head, is_raise in statements(path.read_text(encoding="utf-8")):
+            counts[is_raise] += 1
+            if not ran.intersection(head):
+                missed[is_raise].append(lines)
+        yield path, counts, missed
+
+
+def report_raises(executed: set) -> None:
+    """Print, per module, the raise statements that never ran."""
+    count = never = 0
+    for path, (_, raises), (_, missed) in never_ran(executed):
+        count, never = count + raises, never + len(missed)
+        print(f"{path.name}: {len(missed)} of {raises} raise statements never ran"
+              + (f": {spans(missed)}" if missed else ""))
+    print(f"in all: {never} of {count} raise statements never ran")
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--unit-tests", action="store_true",
+                        help="trace the unit tests and list the raise statements they never run")
+    args = parser.parse_args()
     executed = set()
+    if args.unit_tests:
+        sys.settrace(line_tracer(executed))
+        threading.settrace(line_tracer(executed))
+        try:
+            code = run_unit_tests()
+        finally:
+            threading.settrace(None)
+            sys.settrace(None)
+        report_raises(executed)
+        return int(code)
     with tempfile.TemporaryDirectory(prefix="traffic-lines-") as scratch:
         sys.settrace(line_tracer(executed))
         try:
@@ -143,13 +199,7 @@ def main() -> int:
             sys.settrace(None)
     # Statements, then raise statements: how many, and how many never ran.
     totals = [[0, 0], [0, 0]]
-    for path in sorted(PACKAGE.glob("*.py")):
-        ran = {line for file, line in executed if file == str(path)}
-        counts, missed = [0, 0], ([], [])
-        for lines, head, is_raise in statements(path.read_text(encoding="utf-8")):
-            counts[is_raise] += 1
-            if not ran.intersection(head):
-                missed[is_raise].append(lines)
+    for path, counts, missed in never_ran(executed):
         for total, count, never in zip(totals, counts, missed):
             total[0] += count
             total[1] += len(never)
