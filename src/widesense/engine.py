@@ -7,19 +7,21 @@ halts as soon as the validation criterion fires, banking the remaining
 steps for data transmission; if the budget runs out first the outcome
 carries a recommendation to raise the sampling rate next frame.
 
-One private generator is the frame loop, and it runs a stack of trials
-in lockstep: at each step every trial still running synthesises its
-window and draws its matrices and noise from seeds of its own, into one
-stacked Phi and Psi per group of trials, and one stacked SASR recovers the
-group, with BLAS on one thread (:func:`~widesense.rng.pin_blas_threads`),
-so that outcomes do not depend on the BLAS thread count.  A trial leaves
-the stack after the step where its criterion fires.  Each trial's outcome
-is bit for bit its own one-trial run's, which :func:`run_frame` and
-:func:`iter_frame_steps` are.  No step depends on another, so
-:func:`run_frame` skips the steps where the halting rule cannot fire (too
-few testing rows for ``min_testing``) but the last: a closed step cannot
-halt the frame, so the outcome is unchanged.  :func:`iter_frame_steps`
-runs every step and yields each with its window.
+One private generator is the frame loop, and it runs a stack of trials in
+lockstep: at each step every trial still running synthesises its window
+and draws its matrices and noise from seeds of its own, into one stacked
+Phi and Psi per group of trials (sized as
+:data:`~widesense.recovery._STACK_BYTES` says), and one stacked SASR
+recovers the group, with BLAS on one thread
+(:func:`~widesense.rng.pin_blas_threads`), so that outcomes do not depend
+on the BLAS thread count.  A trial leaves the stack after the step where
+its criterion fires.  Each trial's outcome is bit for bit its own
+one-trial run's, which :func:`run_frame` and :func:`iter_frame_steps` are.
+No step depends on another, so :func:`run_frame` skips the steps where the
+halting rule cannot fire (too few testing rows for ``min_testing``) but
+the last: a closed step cannot halt the frame, so the outcome is
+unchanged.  :func:`iter_frame_steps` runs every step and yields each with
+its window.
 
 Spectral occupancy decisions come from per-band energy detection on the
 final estimate.
@@ -35,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
-from .recovery import FourierDictionary, RecoveryResult, _sasr_then_omp
+from .recovery import FourierDictionary, RecoveryResult, _sasr_then_omp, _stack_size
 from .rng import pin_blas_threads, stream_seed, substreams
-from .sensing import MeasurementSet, _acquire_into
+from .sensing import _acquire_into
 from .signals import (
     GridSpectrumSpec,
     Spectrum,
@@ -204,31 +206,18 @@ def _check_spec(spec, frame: FrameConfig) -> None:
         )
 
 
-# A stacked pursuit holds about this many bytes of dictionaries at once.  Two
-# users: a phase_transition chunk (5 trials at 100 x 200), and a group of
-# frame trials at one step, counted by one trial's Phi spectra at that step
-# (4 trials at 60 x 400 and 2 at 60 x 600).  Enough for the stacked products
-# to pay, and few enough that the stack's dictionaries and Q factors, which
-# all sit in memory at once, add little to a run's peak.
-_STACK_BYTES = 800_000
-
-
-def _group_size(rows: int, n: int) -> int:
-    """Frame trials stacked at a step of ``rows`` x ``n`` Phi: as many as
-    fit :data:`_STACK_BYTES`, at least one."""
-    return max(1, _STACK_BYTES // (rows * (n // 2 + 1) * 16))
-
-
 def _frame_steps(trials, frame: FrameConfig, halting: HaltingConfig, skip_closed: bool):
     """The frame loop over a stack of trials, each a ``(spec, master_seed)``
     pair: yield ``(b, (p, window, measurements, recovery))`` for trial b at
     step p.
 
     The trials still running advance together.  At each step they run in
-    groups of :func:`_group_size`; a group's draws fill one stacked Phi and
-    one stacked Psi in place, and one stacked SASR recovers them.  A trial
-    leaves after the step whose recovery halts on the criterion.  With
-    ``skip_closed`` a step before the last is not run at all where
+    groups of :func:`~widesense.recovery._stack_size`; a group synthesises
+    each trial's window and fills one stacked Phi and one stacked Psi in
+    place with its draws, and one stacked SASR recovers them.  A trial's
+    ``measurements`` view its slots of the stack.  A trial leaves after the
+    step whose recovery halts on the criterion.  With ``skip_closed`` a step
+    before the last is not run at all where
     :func:`~widesense.validation.can_halt` denies its testing rows.  The
     caller's BLAS thread count holds while the generator is suspended.
     """
@@ -241,10 +230,8 @@ def _frame_steps(trials, frame: FrameConfig, halting: HaltingConfig, skip_closed
     for p in range(1, p_max + 1):
         if skip_closed and p < p_max and not can_halt(halting, v * p):
             continue
-        with pin_blas_threads():
-            windows = [signal_time_series(trials[b][0], p * frame.time_step) for b in live]
-        rows, n = (frame.measurements_per_step - v) * p, len(windows[0].samples)
-        size = _group_size(rows, n)
+        rows, n = (frame.measurements_per_step - v) * p, frame.nyquist_per_step * p
+        size = _stack_size(rows, n)
         halted = set()
         for lo in range(0, len(live), size):
             group = live[lo:lo + size]
@@ -253,17 +240,17 @@ def _frame_steps(trials, frame: FrameConfig, halting: HaltingConfig, skip_closed
                 testing = np.empty((len(group), v * p), dtype=np.complex128)
                 phi = np.empty((len(group), rows, n // 2 + 1), dtype=np.complex128)
                 psi = np.empty((len(group), v * p, n // 2 + 1), dtype=np.complex128)
-                for i, (b, window) in enumerate(zip(group, windows[lo:lo + size])):
-                    seed = trials[b][1]
-                    _acquire_into(window.samples, training[i], testing[i], phi[i], psi[i],
-                                  stream_seed(seed, "phi", p), stream_seed(seed, "psi", p),
-                                  delta, stream_seed(seed, "noise", p))
+                records = []
+                for i, b in enumerate(group):
+                    spec, seed = trials[b]
+                    window = signal_time_series(spec, p * frame.time_step)
+                    ms = _acquire_into(window.samples, training[i], testing[i], phi[i], psi[i],
+                                       stream_seed(seed, "phi", p), stream_seed(seed, "psi", p),
+                                       delta, stream_seed(seed, "noise", p))
+                    records.append((b, window, ms))
                 recoveries = next(_sasr_then_omp(training, testing, FourierDictionary(phi, n),
                                                  FourierDictionary(psi, n), halting))
-            for i, (b, window, recovery) in enumerate(zip(group, windows[lo:lo + size],
-                                                          recoveries)):
-                ms = MeasurementSet(training[i], testing[i], FourierDictionary(phi[i], n),
-                                    FourierDictionary(psi[i], n))
+            for (b, window, ms), recovery in zip(records, recoveries):
                 yield b, (p, window, ms, recovery)
                 if recovery.halted_by == "criterion":
                     halted.add(b)

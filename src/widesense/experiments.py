@@ -23,16 +23,17 @@ Each experiment is one entry of the ``_EXPERIMENTS`` registry: its default
 trial count, its grid and base keys with their default values, the columns
 it adds, a trial function over a chunk of trial streams, the chunk size and
 a row aggregator.  One loop, ``_sweep``, runs every experiment.
-``phase_transition`` runs each chunk of trials as one stacked pursuit,
-chunked to at most 800 kB of measurement matrices; ``acss_vs_cs`` advances
-a chunk's frames in lockstep, recovering each step of a group of trials
-with one stacked SASR, and then runs each trial's full-budget baseline on
-its own; ``halting_probability`` derives the noise streams of a chunk of up
-to 500 trials at once.  ``interval_coverage``, ``error_tracking``,
-``sasr_vs_omp`` and ``single_frame`` run per trial.  A key's default also fixes
-its type: an integer default takes integers only, a ``None`` default an
-integer or null, and a float default any finite real, converted to float;
-every value must be >= 0, and >= 1 where the default is a positive integer.
+``phase_transition`` runs each chunk of trials as one stacked pursuit;
+``acss_vs_cs`` advances a chunk's frames in lockstep, recovering each step
+of a group of trials with one stacked SASR, and then runs each trial's
+full-budget baseline on its own (both stacks are sized as
+:data:`widesense.recovery._STACK_BYTES` says); ``halting_probability``
+derives the noise streams of a chunk of up to 500 trials at once.
+``interval_coverage``, ``error_tracking``, ``sasr_vs_omp`` and
+``single_frame`` run per trial.  A key's default also fixes its type: an
+integer default takes integers only, a ``None`` default an integer or null,
+and a float default any finite real, converted to float; every value must
+be >= 0, and >= 1 where the default is a positive integer.
 
 Every stochastic quantity derives from (master_seed, experiment, cell, trial)
 via :func:`widesense.rng.stream_seed`: a cell's ``seed_base`` from one call,
@@ -69,18 +70,16 @@ except ImportError:
 import numpy as np
 
 from .engine import (
-    _STACK_BYTES,
     DetectorConfig,
     FrameConfig,
     _frame_steps,
-    _group_size,
     iter_frame_steps,
     max_steps,
     run_frame,
     uniform_bands,
 )
 from .errors import InvalidSpecError, ParameterError, check_fields, check_value, from_fields
-from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, omp
+from .recovery import FourierDictionary, _omp_batch, _sasr_then_omp, _stack_size, omp
 from .rng import _pin_worker, pin_blas_threads, stream_seed, substreams
 from .sensing import _receiver_noise, acquire, draw_operator
 from .signals import GridSpectrumSpec, random_grid_spectrum, signal_time_series
@@ -357,7 +356,7 @@ def _frame_config(base: dict, **overrides) -> FrameConfig:
 
 
 def _phase_transition_chunk(cell, base) -> int:
-    return max(1, _STACK_BYTES // (8 * cell["measurements"] * base["signal_length"]))
+    return _stack_size(cell["measurements"], base["signal_length"])
 
 
 def _phase_transition_trials(cell, base, streams):
@@ -383,10 +382,11 @@ def _phase_transition_trials(cell, base, streams):
 def _phase_transition_rows(cell, base, run):
     """Success rate of fixed-k pursuit under a Gaussian sensing matrix.
 
-    Cells with more atoms than measurements cannot be refit and are marked
-    ``not_applicable`` instead of being run.
+    Cells with more atoms than measurements cannot be refit, nor placed in
+    a spectrum of fewer bins, and are marked ``not_applicable`` instead of
+    being run.
     """
-    if cell["sparsity"] > cell["measurements"]:
+    if cell["sparsity"] > min(cell["measurements"], base["signal_length"]):
         return [{"success_rate": None, "mean_mse": None, "status": "not_applicable"}]
     outcomes = run()
     finite = [rel for _ok, rel in outcomes if math.isfinite(rel)]
@@ -424,12 +424,12 @@ def _coverage_rows(cell, base, run):
 # error tracking
 
 
-def _frame_spectrum(base: dict, rng) -> GridSpectrumSpec:
-    """The random grouped-tone spectrum of one frame-scale trial."""
+def _frame_spectrum(frame: FrameConfig, base: dict, rng) -> GridSpectrumSpec:
+    """The random grouped-tone spectrum of one trial of ``frame``."""
     return random_grid_spectrum(
         rng,
-        reference_length=int(round(base["nyquist_rate"] * base["time_step"])),
-        nyquist_rate=base["nyquist_rate"],
+        reference_length=frame.nyquist_per_step,
+        nyquist_rate=frame.nyquist_rate,
         sparsity=base["sparsity"],
         n_groups=base["tone_groups"],
         amplitude_scale=base["amplitude_scale"],
@@ -452,9 +452,8 @@ def _tracking_halting(base: dict) -> HaltingConfig:
 
 
 def _tracking_trial(cell, base, seed, rng):
-    v = cell["testing_per_step"]
-    spec = _frame_spectrum(base, rng)
-    frame = _frame_config(base, testing_per_step=v)
+    frame = _frame_config(base, testing_per_step=cell["testing_per_step"])
+    spec = _frame_spectrum(frame, base, rng)
     halting = _tracking_halting(base)
     eta = base["confidence_factor"]
     records = []
@@ -505,7 +504,7 @@ def _acss_frame(cell, base) -> FrameConfig:
 def _acss_chunk(cell, base) -> int:
     """As many trials as one stacked group holds at the first frame step."""
     frame = _acss_frame(cell, base)
-    return _group_size(frame.measurements_per_step - frame.testing_per_step,
+    return _stack_size(frame.measurements_per_step - frame.testing_per_step,
                        frame.nyquist_per_step)
 
 
@@ -513,12 +512,11 @@ def _acss_trials(cell, base, streams):
     """The chunk's frames advance in lockstep, each step recovered by one
     stacked SASR per group (see :func:`widesense.engine._frame_steps`);
     each trial's full-budget baseline then runs on its own."""
-    k = cell["sparsity"]
-    n_ref = int(round(base["nyquist_rate"] * base["time_step"]))
-    specs = [random_grid_spectrum(rng, n_ref, base["nyquist_rate"], k, max(1, k // 4)) if k
-             else GridSpectrumSpec(n_ref, base["nyquist_rate"], ()) for _seed, rng in streams]
+    k, frame = cell["sparsity"], _acss_frame(cell, base)
+    n_ref, rate = frame.nyquist_per_step, frame.nyquist_rate
+    specs = [random_grid_spectrum(rng, n_ref, rate, k, max(1, k // 4)) if k
+             else GridSpectrumSpec(n_ref, rate, ()) for _seed, rng in streams]
     seeds = streams.seeds.tolist()
-    frame = _acss_frame(cell, base)
     adaptive = _acss_adaptive(specs, seeds, frame, base)
     return [(ok, _acss_baseline(spec, seed, frame, base["max_sparsity"]), p)
             for spec, seed, (ok, p) in zip(specs, seeds, adaptive)]
@@ -656,8 +654,8 @@ def _sasr_rows(cell, base, run):
 
 
 def _frame_trial(cell, base, seed, rng):
-    spec = _frame_spectrum(base, rng)
     frame = _frame_config(base)
+    spec = _frame_spectrum(frame, base, rng)
     detector = DetectorConfig(
         bands=uniform_bands(base["nyquist_rate"] / 2.0, base["band_count"]),
         threshold=base["detection_threshold"],

@@ -43,13 +43,12 @@ its criterion fired while the stack picks on for the others, and its
 result is the prefix of its fit at that size.  :func:`omp` and
 :func:`sasr` are the one-trial case of these stacked loops.  The
 ``phase_transition`` experiment runs its fixed-k trials through the OMP
-loop in chunks of about 800 kB of stacked dictionaries, small enough for
-the pursuit arrays to stay in cache, and the frame loop
-(:mod:`widesense.engine`) recovers each step of a group of trials with one
-stacked SASR.  Every stacked product and reduction computes a trial's
-slice exactly as a one-trial run does (the slab rule, too, is decided by
-one trial's size), so each result is bit for bit independent of the stack
-it ran in.
+loop in stacks, and the frame loop (:mod:`widesense.engine`) recovers each
+step of a group of trials with one stacked SASR; :func:`_stack_size` sizes
+both.  Every stacked product and reduction computes a trial's slice
+exactly as a one-trial run does (the slab rule, too, is decided by one
+trial's size), so each result is bit for bit independent of the stack it
+ran in.
 """
 
 from __future__ import annotations
@@ -78,6 +77,20 @@ __all__ = [
 # of this many rows.
 _SLAB_BOUND = 4_000_000
 _SLAB_ROWS = 32
+
+# A stacked pursuit holds about this many bytes of dictionaries, counted by
+# one trial's training spectra: enough for the stacked products to pay, and
+# few enough that the stack's dictionaries and Q factors add little to a
+# run's peak.  At n = 200 a phase_transition chunk stacks 25, 12, 7, 5, 3 and
+# 2 trials at m = 20, 40, 66, 100, 140 and 180; a frame group stacks 25 at
+# 20 x 200, 16 at 30 x 200, 4 at 60 x 400, 2 at 60 x 600 and 1 from 90 x 600.
+_STACK_BYTES = 810_000
+
+
+def _stack_size(rows: int, n: int) -> int:
+    """Trials stacked in one pursuit over ``rows`` x ``n`` dictionaries: as
+    many as one trial's spectra fit :data:`_STACK_BYTES`, at least one."""
+    return max(1, _STACK_BYTES // (rows * (n // 2 + 1) * 16))
 
 
 class FourierDictionary:

@@ -147,25 +147,25 @@ def acquire(
     if noise_std < 0:
         raise ParameterError("noise_std must be >= 0")
     n = len(samples)
-    training = np.empty(training_rows, dtype=np.complex128)
-    testing = np.empty(testing_rows, dtype=np.complex128)
-    phi = np.empty((training_rows, n // 2 + 1), dtype=np.complex128)
-    psi = np.empty((testing_rows, n // 2 + 1), dtype=np.complex128)
-    _acquire_into(samples, training, testing, phi, psi, phi_seed, psi_seed, noise_std, noise_seed)
-    return MeasurementSet(training=training, testing=testing,
-                          phi=FourierDictionary(phi, n), psi=FourierDictionary(psi, n))
+    return _acquire_into(samples, np.empty(training_rows, dtype=np.complex128),
+                         np.empty(testing_rows, dtype=np.complex128),
+                         np.empty((training_rows, n // 2 + 1), dtype=np.complex128),
+                         np.empty((testing_rows, n // 2 + 1), dtype=np.complex128),
+                         phi_seed, psi_seed, noise_std, noise_seed)
 
 
 def _acquire_into(samples: np.ndarray, training: np.ndarray, testing: np.ndarray,
                   phi: np.ndarray, psi: np.ndarray, phi_seed, psi_seed,
-                  noise_std: float, noise_seed) -> None:
+                  noise_std: float, noise_seed) -> MeasurementSet:
     """:func:`acquire` of the real window ``samples`` into preallocated
     complex arrays, such as one trial's slots of a stack: the training and
     testing rows, and the spectra of phi and psi.  Nothing is copied but
-    the measurements, and the bits are those of :func:`acquire`."""
-    for rows, spectra, seed in ((training, phi, phi_seed), (testing, psi, psi_seed)):
-        rows[:] = draw_operator(samples, len(rows), seed, spectra=spectra)[0]
+    the measurements, the bits are those of :func:`acquire`, and the
+    returned set views the filled slots."""
+    training[:], phi_ops = draw_operator(samples, len(training), phi_seed, spectra=phi)
+    testing[:], psi_ops = draw_operator(samples, len(testing), psi_seed, spectra=psi)
     if noise_std > 0.0:
         rng = np.random.default_rng(noise_seed)
         training += _receiver_noise(rng, len(training), noise_std)
         testing += _receiver_noise(rng, len(testing), noise_std)
+    return MeasurementSet(training, testing, phi_ops, psi_ops)

@@ -191,6 +191,28 @@ class TestIterFrameSteps:
         phi2 = np.fft.irfft(ms2.phi.spectra, 400)
         assert not np.allclose(phi1, phi2[:30, :200])
 
+    def test_a_step_yields_views_of_its_groups_stacked_slots(self, monkeypatch):
+        # Three trials share one group at the first step; each yielded
+        # record views its own slot of the stack that SASR recovered.
+        stacks = []
+        original = engine._sasr_then_omp
+
+        def recording(training, testing, phi, psi, halting):
+            stacks.append((training, testing, phi.spectra, psi.spectra))
+            return original(training, testing, phi, psi, halting)
+
+        monkeypatch.setattr(engine, "_sasr_then_omp", recording)
+        trials = [(FOUR_TONES, seed) for seed in (5, 6, 7)]
+        steps = engine._frame_steps(trials, _frame(), _halting(min_testing=10_000), False)
+        first = [next(steps) for _ in trials]
+        [stack] = stacks
+        for i, (b, (p, _window, ms, _recovery)) in enumerate(first):
+            assert (b, p) == (i, 1)
+            record = (ms.training, ms.testing, ms.phi.spectra, ms.psi.spectra)
+            for mine, stacked in zip(record, stack):
+                assert np.shares_memory(mine, stacked[i])
+                assert not any(np.shares_memory(mine, stacked[j]) for j in range(3) if j != i)
+
     def test_rejects_mismatched_signal(self):
         frame = _frame()
         wrong_rate = GridSpectrumSpec(200, 4e9, ())

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import widesense
-from widesense import engine, experiments, rng
+from widesense import engine, experiments, recovery, rng
 from widesense.cli import main
 from widesense.errors import InvalidSpecError, ParameterError
 from widesense.experiments import (
@@ -29,7 +29,7 @@ from widesense.experiments import (
 )
 from widesense.rng import stream_seed, substreams
 from widesense.sensing import acquire
-from widesense.signals import TimeSeries
+from widesense.signals import GridSpectrumSpec, TimeSeries
 from widesense.validation import HaltingConfig, confidence_floor_noisy, halting_rule
 
 DESK_FRAME = {
@@ -56,6 +56,20 @@ TRACKING_MINI = dict(
 def _chunk_lengths(cell, base, streams):
     """A chunk trial that reports the length of its chunk for each trial."""
     return [len(streams)] * len(streams)
+
+
+def _record_calls(monkeypatch, module, name, what):
+    """Patch ``module.name`` to note ``what(*args)`` for each call before
+    it runs; returns the list of notes."""
+    notes = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        notes.append(what(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return notes
 
 
 def _coverage_cfg(**overrides):
@@ -496,16 +510,59 @@ class TestDeterminism:
         assert serial.to_csv_text() == pooled.to_csv_text()
         assert serial.to_json_text() == pooled.to_json_text()
 
+    @pytest.mark.parametrize("rows, n, size", [
+        (20, 200, 25), (40, 200, 12), (66, 200, 7), (100, 200, 5), (140, 200, 3), (180, 200, 2),
+        (30, 200, 16), (60, 400, 4), (60, 600, 2), (90, 600, 1),
+        (160, 1000, 1), (800, 5000, 1),
+    ], ids=["pt-m20", "pt-m40", "pt-m66", "pt-m100", "pt-m140", "pt-m180",
+            "group-30x200", "group-60x400", "group-60x600", "group-90x600",
+            "frame-160x1000", "frame-800x5000"])
+    def test_stack_sizes(self, rows, n, size):
+        # The phase_transition stacks at n = 200 (m = 20 ... 180), the
+        # acss_vs_cs frame groups of the bench cells and frame-scale steps:
+        # one trial's rows x (n // 2 + 1) spectra against the one budget.
+        assert recovery._stack_size(rows, n) == size
+
+    def test_one_budget_sizes_every_stack(self, monkeypatch):
+        # recovery._STACK_BYTES alone sizes the phase_transition chunks, the
+        # acss_vs_cs chunks and the frame loop's groups: one patch moves all.
+        groups = _record_calls(monkeypatch, engine, "_sasr_then_omp",
+                               lambda _y, _v, phi, _psi, _halting: phi.trials)
+        pt_cell, pt_base = {"measurements": 100}, {"signal_length": 200}
+        acss_cell = {"sub_nyquist_rate": 1e9, "sparsity": 0}
+        acss_base = experiments._EXPERIMENTS["acss_vs_cs"].base
+        frame = experiments._acss_frame(acss_cell, acss_base)
+        # Zero signals halt at the first step (30 x 200), all in one group.
+        trials = [(GridSpectrumSpec(200, 5e9, ()), seed) for seed in range(3)]
+        halting = HaltingConfig(mode="noiseless", max_sparsity=4, error_threshold=1.0,
+                                confidence_factor=0.2)
+
+        def sizes():
+            groups.clear()
+            assert [b for b, _step in engine._frame_steps(trials, frame, halting, False)] == [
+                0, 1, 2]
+            return (experiments._phase_transition_chunk(pt_cell, pt_base),
+                    experiments._acss_chunk(acss_cell, acss_base), list(groups))
+
+        assert sizes() == (5, 16, [3])
+        monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 100 * 101 * 16)
+        assert sizes() == (2, 6, [3])
+        monkeypatch.setattr(recovery, "_STACK_BYTES", 1)
+        assert sizes() == (1, 1, [1, 1, 1])
+
     def test_phase_transition_bytes_do_not_depend_on_workers_or_chunks(self, monkeypatch):
         # 13 trials at 100 x 200 run as stacked chunks of 5, 5 and 3
         cfg = dict(name="phase_transition", trials=13, base={"signal_length": 200},
                    grid={"measurements": [100], "sparsity": [15, 35]}, master_seed=11)
-        assert experiments._phase_transition_chunk({"measurements": 100},
-                                                   {"signal_length": 200}) == 5
+        stacks = _record_calls(monkeypatch, experiments, "_omp_batch",
+                               lambda dictionary, _y, _k: dictionary.trials)
         serial = run_experiment(ExperimentConfig(**cfg)).to_csv_text()
+        assert stacks == [5, 5, 3] * 2
         assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
-        monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
+        monkeypatch.setattr(recovery, "_STACK_BYTES", 1)
+        stacks.clear()
         assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
+        assert stacks == [1] * 26
 
     def test_acss_bytes_do_not_depend_on_workers_or_groups(self, monkeypatch):
         # The frames of a chunk advance in lockstep, in stacked groups of at
@@ -513,20 +570,14 @@ class TestDeterminism:
         # group of every trial still running, and the default's mix.
         cfg = dict(name="acss_vs_cs", trials=5, master_seed=13,
                    grid={"sub_nyquist_rate": [750e6, 1e9], "sparsity": [8, 24]})
-        groups = []
-        original = engine._sasr_then_omp
-
-        def recording(training, testing, phi, psi, halting):
-            groups.append(phi.trials)
-            return original(training, testing, phi, psi, halting)
-
-        monkeypatch.setattr(engine, "_sasr_then_omp", recording)
+        groups = _record_calls(monkeypatch, engine, "_sasr_then_omp",
+                               lambda _y, _v, phi, _psi, _halting: phi.trials)
         serial = run_experiment(ExperimentConfig(**cfg)).to_csv_text()
         mixed = list(groups)
         assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
         runs = {}
         for stack_bytes in (1, 10**9):
-            monkeypatch.setattr(engine, "_STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(recovery, "_STACK_BYTES", stack_bytes)
             groups.clear()
             assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
             runs[stack_bytes] = list(groups)
@@ -536,28 +587,16 @@ class TestDeterminism:
 
     def test_frame_groups_count_one_trials_phi_at_the_step(self, monkeypatch):
         # One trial's Phi spectra at 1 GHz's third step (90 x 600) take
-        # 433 kB, at 750 MHz's (60 x 600) 289 kB and at a second step
-        # (60 x 400) 193 kB: one, two and four trials per group.
-        assert [engine._group_size(rows, n) for rows, n in
-                ((30, 200), (60, 400), (60, 600), (90, 600))] == [16, 4, 2, 1]
-        monkeypatch.setattr(engine, "_STACK_BYTES", 2 * 90 * 301 * 16)
-        assert engine._group_size(90, 600) == 2
-        monkeypatch.setattr(engine, "_STACK_BYTES", 2 * 90 * 301 * 16 - 1)
-        assert engine._group_size(90, 600) == 1
+        # 433 kB: a budget of two such trials groups two, a byte less one.
+        monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 90 * 301 * 16)
+        assert recovery._stack_size(90, 600) == 2
+        monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 90 * 301 * 16 - 1)
+        assert recovery._stack_size(90, 600) == 1
         # Within a step the groups fill in order, each as large as the rule
         # lets it; a chunk is one group at the first step.
-        monkeypatch.setattr(engine, "_STACK_BYTES", 800_000)
-        steps = []
-        original = engine._sasr_then_omp
-
-        def recording(training, testing, phi, psi, halting):
-            steps.append((phi.shape, phi.trials))
-            return original(training, testing, phi, psi, halting)
-
-        monkeypatch.setattr(engine, "_sasr_then_omp", recording)
-        cell, base = {"sub_nyquist_rate": 1e9, "sparsity": 24}, experiments._EXPERIMENTS[
-            "acss_vs_cs"].base
-        assert experiments._acss_chunk(cell, base) == 16
+        monkeypatch.undo()
+        steps = _record_calls(monkeypatch, engine, "_sasr_then_omp",
+                              lambda _y, _v, phi, _psi, _halting: (phi.shape, phi.trials))
         run_experiment(ExperimentConfig(name="acss_vs_cs", trials=6, master_seed=2,
                                         grid={"sub_nyquist_rate": [1e9], "sparsity": [24]}))
         by_step = {}
@@ -565,7 +604,7 @@ class TestDeterminism:
             by_step.setdefault(shape, []).append(trials)
         assert len(by_step) >= 3
         for (rows, n), sizes in by_step.items():
-            size = engine._group_size(rows, n)
+            size = recovery._stack_size(rows, n)
             live = sum(sizes)
             assert sizes == [min(size, live - lo) for lo in range(0, live, size)], (rows, n)
 
@@ -1028,6 +1067,17 @@ class TestCli:
         assert main(["run", self._write(tmp_path, payload)]) == 1
         assert ("k = 80 exceeds the 60 training rows; the refit would be underdetermined"
                 in capsys.readouterr().err)
+
+    def test_sparsity_above_signal_length_is_not_applicable(self, tmp_path, capsys):
+        # 250 atoms fit 300 measurements but not a 200-bin spectrum; the
+        # cell used to reach the support draw and exit 2.
+        payload = {"name": "phase_transition", "trials": 2,
+                   "grid": {"measurements": [300], "sparsity": [250]},
+                   "base": {"signal_length": 200}}
+        assert main(["run", self._write(tmp_path, payload), "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["status"], row["success_rate"], row["mean_mse"]) == (
+            "not_applicable", None, None)
 
     def test_non_numeric_base_value_exits_one(self, tmp_path, capsys):
         payload = {"name": "phase_transition", "trials": 1, "base": {"signal_length": "abc"}}
