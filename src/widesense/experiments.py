@@ -21,28 +21,29 @@ trials, and aggregate :class:`ResultTable` rows per grid cell:
 
 Each experiment is one entry of the ``_EXPERIMENTS`` registry: its default
 trial count, its grid and base keys with their default values, the columns
-it adds, a trial function over a chunk of trial streams, the chunk size and
-a row aggregator.  One loop, ``_sweep``, runs every experiment.
-``phase_transition`` runs each chunk of trials as one stacked pursuit;
-``acss_vs_cs`` advances a chunk's frames in lockstep, recovering each step
+it adds, a trial function over a cell's trial streams and a row
+aggregator.  One loop, ``_sweep``, runs every experiment.
+``phase_transition`` recovers its trials in stacks, one stacked pursuit
+each; ``acss_vs_cs`` advances its frames in lockstep, recovering each step
 of a group of trials with one stacked SASR, and then runs each trial's
-full-budget baseline on its own (both stacks are sized as
-:data:`widesense.recovery._STACK_BYTES` says); ``halting_probability``
-derives the noise streams of a chunk of up to 500 trials at once.
-``interval_coverage``, ``error_tracking``, ``sasr_vs_omp`` and
-``single_frame`` run per trial.  A key's default also fixes its type: an
-integer default takes integers only, a ``None`` default an integer or null,
-and a float default any finite real, converted to float; every value must
-be >= 0, and >= 1 where the default is a positive integer.
+full-budget baseline on its own (both stacks are sized by
+:func:`widesense.recovery._stack_size`); ``halting_probability`` derives
+the noise streams of its trials in one pass.  ``interval_coverage``,
+``error_tracking``, ``sasr_vs_omp`` and ``single_frame`` run per trial.
+A key's default also fixes its type: an integer default takes integers
+only, a ``None`` default an integer or null, and a float default any
+finite real, converted to float; every value must be >= 0, and >= 1 where
+the default is a positive integer.
 
 Every stochastic quantity derives from (master_seed, experiment, cell, trial)
 via :func:`widesense.rng.stream_seed`: a cell's ``seed_base`` from one call,
 and its trials' seeds ``stream_seed(seed_base, "trial", t)`` with their
-generators from one :func:`widesense.rng.substreams` pass, which a chunk of
-trials receives as a slice, a :class:`~widesense.rng.Streams` of
-``(seed, rng)`` pairs.  Trials are order-independent, and rows are emitted
-in canonical grid order, so a fixed config serializes to byte-identical
-CSV/JSON no matter how many workers run the trials.
+generators from one :func:`widesense.rng.substreams` pass, a
+:class:`~widesense.rng.Streams` of ``(seed, rng)`` pairs; one worker runs
+them all, and a pool gives each worker a contiguous slice of them.
+Trials are order-independent, and rows are emitted in canonical grid
+order, so a fixed config serializes to byte-identical CSV/JSON no matter
+how many workers run the trials.
 """
 
 from __future__ import annotations
@@ -56,16 +57,6 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Callable
-
-# hashlib loads OpenSSL, which costs several MB of resident memory; the
-# interpreter's own SHA-256 gives the same digest (as in CPython's random.py).
-try:
-    from _sha2 import sha256 as _sha256
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256
-    except ImportError:
-        from hashlib import sha256 as _sha256
 
 import numpy as np
 
@@ -149,6 +140,9 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """12-hex-digit hash of the result-determining fields."""
+        # Imported here, so that importing the package does not load OpenSSL.
+        import hashlib
+
         payload = json.dumps(
             {
                 "name": self.name,
@@ -160,7 +154,7 @@ class ExperimentConfig:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return _sha256(payload.encode("utf-8")).hexdigest()[:12]
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -293,23 +287,17 @@ def _each_seed(trial, cell: dict, base: dict, streams) -> list:
     return [trial(cell, base, seed, rng) for seed, rng in streams]
 
 
-def _map_trials(fn, cell: dict, base: dict, streams, size: int, workers: int, pool) -> list:
-    """The outcomes of ``fn(cell, base, chunk)`` over the trial ``streams``
-    (a :class:`~widesense.rng.Streams`) cut into chunks of at most ``size``,
-    in trial order.  With several workers a chunk holds at most its share
-    of the trials, so that every worker gets one, and the chunks run on the
-    executor that ``pool()`` returns; one worker or one chunk runs here."""
-    if workers > 1:
-        size = min(size, max(1, math.ceil(len(streams) / workers)))
-    starts = range(0, len(streams), size)
-    # Each chunk is sliced when it is reached, so that a serial run never
-    # holds every chunk's small array views at once.
-    chunks = (streams[i:i + size] for i in starts)
-    args = (fn, itertools.repeat(cell), itertools.repeat(base), chunks)
-    if workers <= 1 or len(starts) <= 1:
-        runs = list(map(*args))
-    else:
-        runs = list(pool().map(*args, chunksize=max(1, len(starts) // (workers * 8))))
+def _map_trials(fn, cell: dict, base: dict, streams, workers: int, pool) -> list:
+    """The outcomes of ``fn(cell, base, streams)`` over the trial ``streams``
+    (a :class:`~widesense.rng.Streams`), in trial order.  One worker, or a
+    single trial, runs here in one call; several workers each take one
+    contiguous share of ceil(trials / workers) trials on the executor that
+    ``pool()`` returns."""
+    if workers <= 1 or len(streams) <= 1:
+        return fn(cell, base, streams)
+    size = math.ceil(len(streams) / workers)
+    shares = [streams[lo:lo + size] for lo in range(0, len(streams), size)]
+    runs = pool().map(fn, itertools.repeat(cell), itertools.repeat(base), shares)
     return [outcome for run in runs for outcome in run]
 
 
@@ -355,13 +343,18 @@ def _frame_config(base: dict, **overrides) -> FrameConfig:
 # phase transition
 
 
-def _phase_transition_chunk(cell, base) -> int:
-    return _stack_size(cell["measurements"], base["signal_length"])
-
-
 def _phase_transition_trials(cell, base, streams):
-    """Each stream draws its trial as a lone trial would; the chunk is then
-    recovered by one stacked fixed-k pursuit."""
+    """The trials in stacks of :func:`~widesense.recovery._stack_size`, one
+    stack at a time."""
+    size = _stack_size(cell["measurements"], base["signal_length"])
+    return [outcome for lo in range(0, len(streams), size)
+            for outcome in _phase_transition_stack(cell, base, streams[lo:lo + size])]
+
+
+def _phase_transition_stack(cell, base, streams):
+    """Each stream draws its trial as a lone trial would; the stack is then
+    recovered by one stacked fixed-k pursuit, and its arrays are freed on
+    return."""
     m, k, n = cell["measurements"], cell["sparsity"], base["signal_length"]
     spectra = np.zeros((len(streams), n), dtype=complex)
     dictionaries = np.empty((len(streams), m, n // 2 + 1), dtype=complex)
@@ -501,15 +494,8 @@ def _acss_frame(cell, base) -> FrameConfig:
     return _frame_config(base, sub_nyquist_rate=cell["sub_nyquist_rate"])
 
 
-def _acss_chunk(cell, base) -> int:
-    """As many trials as one stacked group holds at the first frame step."""
-    frame = _acss_frame(cell, base)
-    return _stack_size(frame.measurements_per_step - frame.testing_per_step,
-                       frame.nyquist_per_step)
-
-
 def _acss_trials(cell, base, streams):
-    """The chunk's frames advance in lockstep, each step recovered by one
+    """The trials' frames advance in lockstep, each step recovered by one
     stacked SASR per group (see :func:`widesense.engine._frame_steps`);
     each trial's full-budget baseline then runs on its own."""
     k, frame = cell["sparsity"], _acss_frame(cell, base)
@@ -564,12 +550,6 @@ def _acss_rows(cell, base, run):
 
 # ---------------------------------------------------------------------------
 # halting probability
-
-
-# Most trials of a halting_probability chunk, whose noise streams are derived
-# in one pass: past a few hundred trials a longer pass saves little, and the
-# chunks of a default 2000-trial cell still fill four workers.
-_HALTING_CHUNK = 500
 
 
 def _halting_trials(cell, base, streams):
@@ -686,11 +666,10 @@ class _Experiment:
 
     ``grid`` maps each grid key, outermost first, to its default values and
     ``base`` maps each base key to its default; the defaults also fix each
-    key's type (see :func:`_typed`).  ``trial(cell, base, streams)`` runs a
-    chunk of trials, one outcome per ``(seed, rng)`` pair of its
-    :class:`~widesense.rng.Streams`, and ``chunk(cell, base)`` sizes the
-    chunks; a per-trial ``trial(cell, base, seed, rng)`` is lifted by
-    :func:`_each_seed`.
+    key's type (see :func:`_typed`).  ``trial(cell, base, streams)`` runs
+    the trials of a :class:`~widesense.rng.Streams`, a whole cell or one
+    worker's share of it, one outcome per ``(seed, rng)`` pair; a per-trial
+    ``trial(cell, base, seed, rng)`` is lifted by :func:`_each_seed`.
     ``rows(cell, base, run)`` turns one cell into rows of ``columns``,
     calling ``run()`` for the list of trial outcomes.  ``label`` formats the
     cell into its seed label; ``None`` seeds the experiment without one.
@@ -703,7 +682,6 @@ class _Experiment:
     trial: Callable
     rows: Callable
     label: str | None
-    chunk: Callable = lambda cell, base: 1
 
 
 # The frame scale of error_tracking, which single_frame extends.
@@ -733,7 +711,6 @@ _EXPERIMENTS = {
         trial=_phase_transition_trials,
         rows=_phase_transition_rows,
         label="{measurements}:{sparsity}",
-        chunk=_phase_transition_chunk,
     ),
     "interval_coverage": _Experiment(
         trials=500,
@@ -764,7 +741,6 @@ _EXPERIMENTS = {
         trial=_acss_trials,
         rows=_acss_rows,
         label="{sub_nyquist_rate}:{sparsity}",
-        chunk=_acss_chunk,
     ),
     "halting_probability": _Experiment(
         trials=2000,
@@ -774,7 +750,6 @@ _EXPERIMENTS = {
         trial=_halting_trials,
         rows=_halting_rows,
         label="{accuracy_factor}:{testing_size}",
-        chunk=lambda cell, base: _HALTING_CHUNK,
     ),
     "sasr_vs_omp": _Experiment(
         trials=200,
@@ -837,8 +812,7 @@ def _sweep(cfg: ExperimentConfig) -> ResultTable:
 
             def run():
                 streams = substreams(seed_base, "trial", np.arange(cfg.trials))
-                return _map_trials(spec.trial, cell, base, streams, spec.chunk(cell, base),
-                                   workers, pool)
+                return _map_trials(spec.trial, cell, base, streams, workers, pool)
 
             for row in spec.rows(cell, base, run):
                 rows.append({**cell, **row, "trials": cfg.trials, "seed_base": seed_base,

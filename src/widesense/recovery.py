@@ -81,7 +81,7 @@ _SLAB_ROWS = 32
 # A stacked pursuit holds about this many bytes of dictionaries, counted by
 # one trial's training spectra: enough for the stacked products to pay, and
 # few enough that the stack's dictionaries and Q factors add little to a
-# run's peak.  At n = 200 a phase_transition chunk stacks 25, 12, 7, 5, 3 and
+# run's peak.  At n = 200 a phase_transition stack holds 25, 12, 7, 5, 3 and
 # 2 trials at m = 20, 40, 66, 100, 140 and 180; a frame group stacks 25 at
 # 20 x 200, 16 at 30 x 200, 4 at 60 x 400, 2 at 60 x 600 and 1 from 90 x 600.
 _STACK_BYTES = 810_000

@@ -8,6 +8,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -54,8 +55,9 @@ TRACKING_MINI = dict(
 
 
 def _chunk_lengths(cell, base, streams):
-    """A chunk trial that reports the length of its chunk for each trial."""
-    return [len(streams)] * len(streams)
+    """A trial function that reports, for each trial, the number of trials
+    in its call and its seed."""
+    return [(len(streams), seed) for seed in streams.seeds.tolist()]
 
 
 def _record_calls(monkeypatch, module, name, what):
@@ -171,16 +173,17 @@ class TestExperimentConfig:
         assert a.digest() == _coverage_cfg(workers=4, output_path="x.csv").digest()
 
     def test_digest_is_sha256_without_openssl(self):
-        # The interpreter's own SHA-256 gives the digest, so importing the
-        # command line leaves hashlib's OpenSSL backend unloaded.
+        # hashlib is imported by the digest, so importing the command line
+        # leaves its OpenSSL backend unloaded.
         script = (
             "import sys\n"
             "import widesense.cli\n"
+            "print('_hashlib' in sys.modules)\n"
             "from widesense.experiments import ExperimentConfig\n"
             "cfg = ExperimentConfig(name='interval_coverage', trials=5, master_seed=1,\n"
             "                       grid={'testing_size': [10], 'confidence_factor': [0.3]},\n"
             "                       base={'signal_length': 32})\n"
-            "print('_hashlib' in sys.modules, cfg.digest())\n"
+            "print(cfg.digest())\n"
         )
         source = str(Path(widesense.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
@@ -524,34 +527,39 @@ class TestDeterminism:
         assert recovery._stack_size(rows, n) == size
 
     def test_one_budget_sizes_every_stack(self, monkeypatch):
-        # recovery._STACK_BYTES alone sizes the phase_transition chunks, the
-        # acss_vs_cs chunks and the frame loop's groups: one patch moves all.
+        # recovery._STACK_BYTES alone sizes the phase_transition stacks and
+        # the frame loop's groups: one patch moves both.
+        stacks = _record_calls(monkeypatch, experiments, "_omp_batch",
+                               lambda dictionary, _y, _k: dictionary.trials)
         groups = _record_calls(monkeypatch, engine, "_sasr_then_omp",
                                lambda _y, _v, phi, _psi, _halting: phi.trials)
-        pt_cell, pt_base = {"measurements": 100}, {"signal_length": 200}
-        acss_cell = {"sub_nyquist_rate": 1e9, "sparsity": 0}
-        acss_base = experiments._EXPERIMENTS["acss_vs_cs"].base
-        frame = experiments._acss_frame(acss_cell, acss_base)
+        pt = ExperimentConfig(name="phase_transition", trials=7, base={"signal_length": 200},
+                              grid={"measurements": [100], "sparsity": [5]}, master_seed=1)
+        frame = experiments._acss_frame({"sub_nyquist_rate": 1e9},
+                                        experiments._EXPERIMENTS["acss_vs_cs"].base)
         # Zero signals halt at the first step (30 x 200), all in one group.
         trials = [(GridSpectrumSpec(200, 5e9, ()), seed) for seed in range(3)]
         halting = HaltingConfig(mode="noiseless", max_sparsity=4, error_threshold=1.0,
                                 confidence_factor=0.2)
 
         def sizes():
+            stacks.clear()
             groups.clear()
+            run_experiment(pt)
             assert [b for b, _step in engine._frame_steps(trials, frame, halting, False)] == [
                 0, 1, 2]
-            return (experiments._phase_transition_chunk(pt_cell, pt_base),
-                    experiments._acss_chunk(acss_cell, acss_base), list(groups))
+            return list(stacks), list(groups)
 
-        assert sizes() == (5, 16, [3])
+        assert sizes() == ([5, 2], [3])
+        # Two trials of 100 x 200, or six of 30 x 200.
         monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 100 * 101 * 16)
-        assert sizes() == (2, 6, [3])
-        monkeypatch.setattr(recovery, "_STACK_BYTES", 1)
-        assert sizes() == (1, 1, [1, 1, 1])
+        assert sizes() == ([2, 2, 2, 1], [3])
+        # Two trials of 30 x 200, less than one of 100 x 200.
+        monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 30 * 101 * 16)
+        assert sizes() == ([1] * 7, [2, 1])
 
     def test_phase_transition_bytes_do_not_depend_on_workers_or_chunks(self, monkeypatch):
-        # 13 trials at 100 x 200 run as stacked chunks of 5, 5 and 3
+        # 13 trials at 100 x 200 run as stacks of 5, 5 and 3
         cfg = dict(name="phase_transition", trials=13, base={"signal_length": 200},
                    grid={"measurements": [100], "sparsity": [15, 35]}, master_seed=11)
         stacks = _record_calls(monkeypatch, experiments, "_omp_batch",
@@ -565,7 +573,7 @@ class TestDeterminism:
         assert stacks == [1] * 26
 
     def test_acss_bytes_do_not_depend_on_workers_or_groups(self, monkeypatch):
-        # The frames of a chunk advance in lockstep, in stacked groups of at
+        # A cell's frames advance in lockstep, in stacked groups of at
         # most _STACK_BYTES of Phi spectra per step: groups of one, one
         # group of every trial still running, and the default's mix.
         cfg = dict(name="acss_vs_cs", trials=5, master_seed=13,
@@ -593,7 +601,7 @@ class TestDeterminism:
         monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 90 * 301 * 16 - 1)
         assert recovery._stack_size(90, 600) == 1
         # Within a step the groups fill in order, each as large as the rule
-        # lets it; a chunk is one group at the first step.
+        # lets it.
         monkeypatch.undo()
         steps = _record_calls(monkeypatch, engine, "_sasr_then_omp",
                               lambda _y, _v, phi, _psi, _halting: (phi.shape, phi.trials))
@@ -608,29 +616,58 @@ class TestDeterminism:
             live = sum(sizes)
             assert sizes == [min(size, live - lo) for lo in range(0, live, size)], (rows, n)
 
-    def test_halting_bytes_do_not_depend_on_workers_or_chunks(self, monkeypatch):
+    def test_halting_bytes_do_not_depend_on_workers_or_chunks(self):
         cfg = dict(name="halting_probability", trials=23, master_seed=8,
                    grid={"accuracy_factor": [0.6], "testing_size": [20, 40]})
         serial = run_experiment(ExperimentConfig(**cfg)).to_csv_text()
-        monkeypatch.setattr(experiments, "_HALTING_CHUNK", 4)
-        assert run_experiment(ExperimentConfig(**cfg)).to_csv_text() == serial
         assert run_experiment(ExperimentConfig(**cfg, workers=2)).to_csv_text() == serial
+        # The noise streams of a slice are those of its trials in the whole,
+        # at a cell whose criterion fires in about half of the trials.
+        cell = {"accuracy_factor": 0.2, "testing_size": 10}
+        base = experiments._EXPERIMENTS["halting_probability"].base
+        streams = substreams(3, "trial", np.arange(23))
+        whole = experiments._halting_trials(cell, base, streams)
+        assert [outcome for lo in range(0, 23, 4)
+                for outcome in experiments._halting_trials(cell, base, streams[lo:lo + 4])
+                ] == whole
+        assert 0 < sum(whole) < 23
 
     def test_every_worker_gets_a_chunk(self):
         streams = substreams(1, "trial", np.arange(10))
-        with concurrent.futures.ThreadPoolExecutor(2) as threads:
-            def chunks(size, workers):
-                return experiments._map_trials(_chunk_lengths, {}, {}, streams, size, workers,
-                                               lambda: threads)
+        seeds = streams.seeds.tolist()
 
-            # Chunks of 500 would leave two of three workers idle; shares of
-            # ceil(10 / 3) = 4 trials give each one a chunk.
-            assert chunks(500, 3) == [4] * 8 + [2] * 2
-            assert chunks(500, 1) == [10] * 10
-            assert chunks(3, 2) == [3] * 9 + [1]
+        def no_pool():
+            raise AssertionError("one worker starts no pool")
+
+        # One worker runs the whole cell in one call.
+        assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 1, no_pool) == [
+            (10, seed) for seed in seeds]
+        # Three take contiguous shares of ceil(10 / 3) = 4 trials, in order.
+        with concurrent.futures.ThreadPoolExecutor(2) as threads:
+            assert experiments._map_trials(_chunk_lengths, {}, {}, streams, 3,
+                                           lambda: threads) == [
+                (size, seed) for size, seed in zip([4] * 8 + [2] * 2, seeds)]
+
+    def test_phase_transition_holds_one_stack_at_a_time(self):
+        # Each stack is drawn and recovered in its own call, so its arrays
+        # are freed before the next is allocated: six stacks of 5 trials at
+        # 100 x 200 peak about as high as one.
+        cell, base = {"measurements": 100, "sparsity": 10}, {"signal_length": 200}
+
+        def peak(trials):
+            streams = substreams(5, "trial", np.arange(trials))
+            tracemalloc.start()
+            try:
+                experiments._phase_transition_trials(cell, base, streams)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)
+        assert peak(30) < 1.5 * peak(5)
 
     def test_one_process_pool_serves_the_whole_sweep(self, monkeypatch):
-        # Three cells of two chunks each at two workers start one pool, whose
+        # Three cells of two shares each at two workers start one pool, whose
         # workers pin BLAS, and the sweep shuts it down before it returns.
         # Two CPUs, whatever the host has, so that two workers are allowed.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
